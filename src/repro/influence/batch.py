@@ -35,7 +35,7 @@ unchanged whether a solver verifies pair-by-pair or in batches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -59,16 +59,16 @@ class PositionArena:
         uids: ``(n_users,)`` int64 array of user ids in arena row order.
     """
 
-    __slots__ = ("positions", "offsets", "uids", "_row_of")
+    __slots__ = ("positions", "offsets", "uids", "_uid_order")
 
     def __init__(self, positions: np.ndarray, offsets: np.ndarray, uids: np.ndarray):
         self.positions = positions
         self.offsets = offsets
         self.uids = uids
-        # uid -> row dict, built lazily on first id lookup: the batched
-        # kernels address rows by index, and shard workers mapping a
-        # million-user arena out of shared memory never need it.
-        self._row_of: Optional[Dict[int, int]] = None
+        # Row order that sorts ``uids``, built lazily on first id lookup:
+        # the batched kernels address rows by index, and shard workers
+        # mapping a million-user arena out of shared memory never need it.
+        self._uid_order: Optional[np.ndarray] = None
         if offsets.shape[0] != uids.shape[0] + 1:
             raise DataError("arena offsets must have one entry per user plus one")
 
@@ -84,21 +84,30 @@ class PositionArena:
         """Per-row position counts."""
         return np.diff(self.offsets)
 
-    def _index(self) -> Dict[int, int]:
-        if self._row_of is None:
-            self._row_of = {int(u): i for i, u in enumerate(self.uids)}
-        return self._row_of
-
     def row_of(self, uid: int) -> int:
         """Arena row index of a user id."""
-        return self._index()[uid]
+        return int(self.rows_for((uid,))[0])
 
     def rows_for(self, uids: Iterable[int]) -> np.ndarray:
-        """Arena row indices for an iterable of user ids."""
-        index = self._index()
-        return np.fromiter(
-            (index[u] for u in uids), dtype=np.int64
-        )
+        """Arena row indices for user ids (an iterable or an int array).
+
+        One binary search per id over the sorted ids; raises
+        ``KeyError`` for an id the arena does not hold.
+        """
+        if isinstance(uids, np.ndarray):
+            ids = uids.astype(np.int64, copy=False)
+        else:
+            ids = np.fromiter(uids, dtype=np.int64)
+        if self._uid_order is None:
+            self._uid_order = np.argsort(self.uids, kind="stable")
+        order = self._uid_order
+        if order.size == 0 and ids.size:
+            raise KeyError(int(ids[0]))
+        rows = order.take(np.searchsorted(self.uids, ids, sorter=order), mode="clip")
+        missing = self.uids[rows] != ids
+        if missing.any():
+            raise KeyError(int(ids[np.flatnonzero(missing)[0]]))
+        return rows
 
     def gather(self, rows: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(flat_positions, lengths)`` for a row subset.

@@ -1,6 +1,6 @@
 """Pruning rules: IA / NIB (facility-pruning) and IS / NIR (user-pruning)."""
 
-from .regions import UserPruningRegions, regions_for
+from .regions import PruningRegionArrays, UserPruningRegions, regions_for
 from .rules import (
     FacilityClassification,
     IQuadTreeStatsView,
@@ -16,6 +16,7 @@ __all__ = [
     "FacilityClassification",
     "IQuadTreeStatsView",
     "PinocchioPruner",
+    "PruningRegionArrays",
     "PruningStats",
     "UserPruningRegions",
     "is_rule_confirms",

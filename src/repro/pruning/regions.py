@@ -16,15 +16,28 @@ derived from a user's position MBR and the influence radius ``mMR(τ, r)``:
 
 Facilities inside NIB but not inside IA fall in the interstitial region of
 Fig. 2(a) and must be verified with the exact cumulative probability.
+
+:class:`UserPruningRegions` is the scalar form for one user;
+:class:`PruningRegionArrays` decides the same rules for many users at
+once, one numpy pass per facility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
 
 from ..entities import MovingUser
 from ..geo import Point, Rect
-from ..influence import ProbabilityFunction, min_max_radius
+from ..influence import PositionArena, ProbabilityFunction, min_max_radius
+
+#: Relative half-width of the band around ``mMR`` inside which a
+#: vectorised distance is re-decided by the scalar rule.  ``np.hypot``
+#: and ``math.hypot`` can disagree in the last ulp (~1e-16 relative), so
+#: outside this band both round to the same side of ``mMR``.
+ULP_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,3 +100,97 @@ def regions_for(
 ) -> UserPruningRegions:
     """Build the IA/NIB regions of ``user`` for threshold ``τ`` and ``PF``."""
     return UserPruningRegions(user, min_max_radius(tau, user.r, pf))
+
+
+class PruningRegionArrays:
+    """The IA/NIB machinery of a whole population as per-row arrays.
+
+    Built once per ``(population, τ, PF)`` from a :class:`PositionArena`:
+    each arena row gets its MBR (``np.minimum/maximum.reduceat``; min and
+    max are exact, so these equal ``user.mbr``) and its ``mMR`` (one
+    :func:`min_max_radius` call per distinct position count).  Each test
+    then decides one facility against any set of rows in one numpy pass,
+    returning exactly what the scalar :class:`UserPruningRegions` method
+    returns for every pair:
+
+    * :meth:`nib_rect_contains` repeats the float operations of
+      ``nib_rect().contains_point`` (the R-tree range query), so it is
+      exact as is.
+    * :meth:`nib_contains` and :meth:`ia_contains` compare ``np.hypot``
+      distances with ``mMR``.  Pairs within a relative :data:`ULP_BAND`
+      of ``mMR`` are re-decided by the scalar method, which keeps the
+      decisions identical where ``np.hypot`` and ``math.hypot`` differ.
+
+    Args:
+        users: The population in arena row order (``dataset.users`` for
+            ``dataset.arena``); read only for the boundary re-checks.
+        arena: The packed positions of ``users``.
+        tau: Influence threshold.
+        pf: Distance-decay probability function.
+    """
+
+    def __init__(
+        self,
+        users: Sequence[MovingUser],
+        arena: PositionArena,
+        tau: float,
+        pf: ProbabilityFunction,
+    ):
+        self.users = users
+        starts = arena.offsets[:-1]
+        xs = arena.positions[:, 0]
+        ys = arena.positions[:, 1]
+        self.min_x = np.minimum.reduceat(xs, starts)
+        self.min_y = np.minimum.reduceat(ys, starts)
+        self.max_x = np.maximum.reduceat(xs, starts)
+        self.max_y = np.maximum.reduceat(ys, starts)
+        counts, inverse = np.unique(arena.lengths(), return_inverse=True)
+        radii = np.array([min_max_radius(tau, int(r), pf) for r in counts])
+        self.mmr = radii[inverse]
+
+    def __len__(self) -> int:
+        return self.mmr.shape[0]
+
+    # ------------------------------------------------------------------
+    def nib_rect_contains(self, p: Point, rows: np.ndarray) -> np.ndarray:
+        """Per row: is ``p`` inside the MBR of the row's NIB region?"""
+        mmr = self.mmr[rows]
+        return (
+            (self.min_x[rows] - mmr <= p.x)
+            & (p.x <= self.max_x[rows] + mmr)
+            & (self.min_y[rows] - mmr <= p.y)
+            & (p.y <= self.max_y[rows] + mmr)
+        )
+
+    def nib_contains(self, p: Point, rows: np.ndarray) -> np.ndarray:
+        """Per row: :meth:`UserPruningRegions.nib_contains` of ``p``."""
+        dx = np.maximum(self.min_x[rows] - p.x, 0.0)
+        dx = np.maximum(dx, p.x - self.max_x[rows])
+        dy = np.maximum(self.min_y[rows] - p.y, 0.0)
+        dy = np.maximum(dy, p.y - self.max_y[rows])
+        dist = np.hypot(dx, dy)
+        return self._within(dist, p, rows, UserPruningRegions.nib_contains)
+
+    def ia_contains(self, p: Point, rows: np.ndarray) -> np.ndarray:
+        """Per row: :meth:`UserPruningRegions.ia_contains` of ``p``."""
+        dx = np.maximum(np.abs(p.x - self.min_x[rows]), np.abs(p.x - self.max_x[rows]))
+        dy = np.maximum(np.abs(p.y - self.min_y[rows]), np.abs(p.y - self.max_y[rows]))
+        dist = np.hypot(dx, dy)
+        inside = self._within(dist, p, rows, UserPruningRegions.ia_contains)
+        return inside & (self.mmr[rows] > 0.0)
+
+    def _within(
+        self,
+        dist: np.ndarray,
+        p: Point,
+        rows: np.ndarray,
+        scalar: Callable[[UserPruningRegions, Point], bool],
+    ) -> np.ndarray:
+        """``dist <= mMR`` per row, with the ulp band decided by ``scalar``."""
+        mmr = self.mmr[rows]
+        out = dist <= mmr
+        for i in np.flatnonzero(np.abs(dist - mmr) <= ULP_BAND * mmr).tolist():
+            row = int(rows[i])
+            regions = UserPruningRegions(self.users[row], float(self.mmr[row]))
+            out[i] = scalar(regions, p)
+        return out

@@ -5,32 +5,48 @@ Four phases:
 1. **Pruning** — build the IQuad-tree over the users; traverse it once per
    abstract facility (memoised per leaf) to split users into
    IS-confirmed / NIR-pruned / to-verify.
-2. **NIB integration** (variant-dependent) — R-tree range queries intersect
-   each facility's to-verify set with the users whose NIB region contains
-   the facility (Algorithm 2, lines 5–12).  The IQT-PINO variant also
-   applies the IA confirmation; plain IQT skips IA because the IS rule
-   subsumes it at lower cost (Table I); IQT-C skips NIB entirely.
+2. **NIB integration** (variant-dependent) — each facility's to-verify
+   set shrinks to the users whose NIB region contains the facility
+   (Algorithm 2, lines 5–12).  The IQT-PINO variant also applies the IA
+   confirmation; plain IQT skips IA because the IS rule subsumes it at
+   lower cost (Table I); IQT-C skips NIB entirely.
 3. **Verification** — exact influence decision with the PINOCCHIO early
    stopping strategy for every surviving pair (line 14).
 4. **Greedy selection** — the shared ``(1 − 1/e)`` greedy.
+
+Between the traversal and the influence table, each facility's confirmed
+and to-verify pairs are sorted int64 arrays of arena rows
+(``dataset.arena``), one per facility position.  NIB runs on them as one
+numpy pass per facility over per-row MBR and ``mMR`` arrays
+(:class:`~repro.pruning.PruningRegionArrays`); the paper's R-tree range
+query becomes the equivalent NIB-rectangle test.  Distances within a
+relative ``1e-9`` of ``mMR`` are re-decided by the scalar
+``UserPruningRegions`` rule, because ``np.hypot`` and ``math.hypot`` can
+differ in the last ulp; the surviving pairs therefore equal those of the
+per-user ``PinocchioPruner.classify_user`` loop pair for pair, and so do
+the pruning and evaluation counters.  Verification passes the rows
+straight to :class:`~repro.influence.BatchInfluenceEvaluator`, and the
+competitors' candidate-coverage filter is a boolean row mask.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from typing import Optional
+import numpy as np
 
 from ..competition import InfluenceTable
 from ..entities import AbstractFacility, SpatialDataset
+from ..geo import Point
 from ..influence import (
     BatchInfluenceEvaluator,
     InfluenceEvaluator,
+    PositionArena,
     ProbabilityFunction,
     paper_default_pf,
 )
-from ..pruning import PinocchioPruner, PruningStats
+from ..pruning import PruningRegionArrays, PruningStats
 from ..spatial import IQuadTree
 from .base import (
     MC2LSProblem,
@@ -40,6 +56,9 @@ from .base import (
     SolverResult,
 )
 from .selection import run_selection
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class IQTVariant(enum.Enum):
@@ -129,6 +148,9 @@ class IQTSolver(Solver):
         pf: ProbabilityFunction,
     ) -> ResolvedInstance:
         evaluator = InfluenceEvaluator(pf, tau, early_stopping=self.early_stopping)
+        arena = dataset.arena
+        facilities = dataset.abstract_facilities
+        n_cand = len(dataset.candidates)
 
         with timer.mark("index"):
             tree = IQuadTree(
@@ -141,80 +163,84 @@ class IQTSolver(Solver):
             )
 
         # Phase 1: IS/NIR pruning via one traversal per abstract facility.
-        confirmed: Dict[AbstractFacility, FrozenSet[int]] = {}
-        to_verify: Dict[AbstractFacility, Set[int]] = {}
+        # From here on a facility's pair sets are sorted arena-row arrays
+        # at its position in ``facilities`` (candidates first).  The tree
+        # caches results per leaf, and co-located facilities share one
+        # conversion.
+        confirmed: List[np.ndarray] = []
+        to_verify: List[np.ndarray] = []
         with timer.mark("pruning"):
-            for v in dataset.abstract_facilities:
+            by_leaf: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+            for v in facilities:
                 result = tree.traverse(v.x, v.y)
-                confirmed[v] = result.influenced
-                to_verify[v] = set(result.to_verify)
+                leaf = tree.leaf_cell_of(v.x, v.y)
+                rows = by_leaf.get(leaf)
+                if rows is None:
+                    rows = by_leaf[leaf] = (
+                        _sorted_rows(arena, result.influenced),
+                        _sorted_rows(arena, result.to_verify),
+                    )
+                confirmed.append(rows[0])
+                to_verify.append(rows[1])
 
         # Phase 2: optional NIB (and IA) integration.
         if self.variant in (IQTVariant.IQT, IQTVariant.IQT_PINO):
-            use_ia = self.variant is IQTVariant.IQT_PINO
             with timer.mark("nib"):
-                extra_confirmed = self._apply_nib(
-                    dataset, tau, pf, confirmed, to_verify, use_ia=use_ia
+                self._apply_nib(
+                    dataset,
+                    tau,
+                    pf,
+                    confirmed,
+                    to_verify,
+                    use_ia=self.variant is IQTVariant.IQT_PINO,
                 )
-                if use_ia:
-                    for v, uids in extra_confirmed.items():
-                        confirmed[v] = confirmed[v] | uids
 
         # Phase 3: exact verification of the survivors.  Candidates are
         # verified first; competitor verification is then restricted to
         # users influenced by at least one candidate (the same optimisation
         # Algorithm 1 line 10 grants k-CIFP — uncovered users never enter
         # any cinf computation).  Competitor pairs already confirmed by the
-        # traversal cost nothing and are kept for every user.
-        omega_c: Dict[int, Set[int]] = {c.fid: set() for c in dataset.candidates}
-        f_o: Dict[int, Set[int]] = {u.uid: set() for u in dataset.users}
-        users_by_uid = {u.uid: u for u in dataset.users}
-        batch = (
-            BatchInfluenceEvaluator(
-                pf,
-                tau,
-                early_stopping=self.early_stopping,
-                stats=evaluator.stats,
-            )
-            if self.batch_verify
-            else None
-        )
-        arena = dataset.arena if batch is not None else None
-
-        def verify(v: AbstractFacility, uids: list) -> "Iterable[int]":
-            """Ids among ``uids`` that ``v`` influences (batch or scalar)."""
-            if batch is not None:
-                hit = batch.influences_users(v.x, v.y, arena, arena.rows_for(uids))
-                return (uid for uid, h in zip(uids, hit) if h)
-            return (
-                uid
-                for uid in uids
-                if evaluator.influences(v.x, v.y, users_by_uid[uid].positions)
+        # traversal cost nothing and are kept for every user.  A
+        # facility's confirmed and to-verify rows are disjoint, so the
+        # to-verify rows are exactly the pairs left to decide.
+        if self.batch_verify:
+            batch = BatchInfluenceEvaluator(
+                pf, tau, early_stopping=self.early_stopping, stats=evaluator.stats
             )
 
+            def verify(v: AbstractFacility, rows: np.ndarray) -> np.ndarray:
+                return rows[batch.influences_users(v.x, v.y, arena, rows)]
+
+        else:
+            users = dataset.users
+
+            def verify(v: AbstractFacility, rows: np.ndarray) -> np.ndarray:
+                hit = [
+                    evaluator.influences(v.x, v.y, users[row].positions)
+                    for row in rows.tolist()
+                ]
+                return rows[np.array(hit, dtype=bool)]
+
+        uids = arena.uids
+        omega_c: Dict[int, Set[int]] = {}
+        f_o: Dict[int, Set[int]] = {uid: set() for uid in uids.tolist()}
         with timer.mark("verification"):
-            for v in dataset.candidates:
-                target = omega_c[v.fid]
-                target |= confirmed[v]
-                survivors = sorted(to_verify[v] - confirmed[v])
-                target.update(verify(v, survivors))
-            influenced_uids: Set[int] = set()
-            for users in omega_c.values():
-                influenced_uids |= users
-            for v in dataset.facilities:
-                for uid in confirmed[v]:
-                    f_o[uid].add(v.fid)
-                survivors = sorted(
-                    (to_verify[v] - confirmed[v]) & influenced_uids
-                )
-                for uid in verify(v, survivors):
-                    f_o[uid].add(v.fid)
+            covered = np.zeros(len(arena), dtype=bool)
+            for i, v in enumerate(dataset.candidates):
+                rows = np.concatenate((confirmed[i], verify(v, to_verify[i])))
+                covered[rows] = True
+                omega_c.setdefault(v.fid, set()).update(uids[rows].tolist())
+            for i, v in enumerate(dataset.facilities, start=n_cand):
+                survivors = to_verify[i][covered[to_verify[i]]]
+                for rows in (confirmed[i], verify(v, survivors)):
+                    for uid in uids[rows].tolist():
+                        f_o[uid].add(v.fid)
 
         # Final pair accounting: confirmed by IS (and IA for IQT-PINO),
         # still-to-verify after every enabled rule, pruned = the rest.
-        n_pairs = len(dataset.users) * len(dataset.abstract_facilities)
-        n_confirmed = sum(len(s) for s in confirmed.values())
-        n_verify = sum(len(s) for s in to_verify.values())
+        n_pairs = len(dataset.users) * len(facilities)
+        n_confirmed = sum(rows.size for rows in confirmed)
+        n_verify = sum(rows.size for rows in to_verify)
         pruning = PruningStats(
             confirmed=n_confirmed,
             pruned=n_pairs - n_confirmed - n_verify,
@@ -233,42 +259,61 @@ class IQTSolver(Solver):
         dataset: SpatialDataset,
         tau: float,
         pf: ProbabilityFunction,
-        confirmed: Dict[AbstractFacility, FrozenSet[int]],
-        to_verify: Dict[AbstractFacility, Set[int]],
+        confirmed: List[np.ndarray],
+        to_verify: List[np.ndarray],
         use_ia: bool,
-    ) -> Dict[AbstractFacility, Set[int]]:
-        """Intersect each facility's to-verify set with its NIB survivors.
+    ) -> None:
+        """Shrink each facility's to-verify rows to its NIB survivors.
 
-        Implements Algorithm 2 lines 5–12: two R-trees (``RT_C``, ``RT_F``)
-        are range-queried with each user's NIB rectangle; users outside a
-        facility's NIB region are removed from its verification set.  When
-        ``use_ia`` is set, users whose IA region contains the facility are
-        returned for direct confirmation (IQT-PINO).
+        Implements Algorithm 2 lines 5–12 in array form.  The per-row
+        MBR and ``mMR`` arrays are built once
+        (:class:`~repro.pruning.PruningRegionArrays`); then one numpy
+        pass per facility keeps the rows whose NIB region contains it:
+        the NIB-rectangle test that the paper's R-tree range query makes,
+        then the exact rounded-rectangle test.  Distances within a
+        relative ``1e-9`` of ``mMR`` are re-decided by the scalar
+        ``UserPruningRegions`` rule, so the surviving pairs equal the
+        per-user ``PinocchioPruner.classify_user`` loop pair for pair.
+
+        When ``use_ia`` is set (IQT-PINO), the IA rule also confirms, for
+        each facility, every user still to verify against *any* facility
+        whose IA region contains it; those rows join the facility's
+        confirmed rows and leave its to-verify rows.  Both lists are
+        updated in place.
         """
-        pruner_c = PinocchioPruner(dataset.candidates, tau, pf, use_ia=use_ia)
-        pruner_f = PinocchioPruner(dataset.facilities, tau, pf, use_ia=use_ia)
-        nib_possible: Dict[AbstractFacility, Set[int]] = {
-            v: set() for v in dataset.abstract_facilities
-        }
-        ia_confirmed: Dict[AbstractFacility, Set[int]] = {
-            v: set() for v in dataset.abstract_facilities
-        }
-        # NIB can only shrink verification sets, so users the NIR rule
-        # already eliminated against every facility need no NIB queries.
-        relevant: Set[int] = set()
-        for uids in to_verify.values():
-            relevant |= uids
-        for user in dataset.users:
-            if user.uid not in relevant:
+        regions = PruningRegionArrays(dataset.users, dataset.arena, tau, pf)
+        if use_ia:
+            # IA is tested on the users still to verify against some
+            # facility: the users the per-user NIB loop classifies.
+            relevant = np.zeros(len(regions), dtype=bool)
+            for rows in to_verify:
+                relevant[rows] = True
+            relevant_rows = np.flatnonzero(relevant)
+        for i, v in enumerate(dataset.abstract_facilities):
+            p = v.location
+            if not use_ia:
+                to_verify[i] = _nib_survivors(regions, p, to_verify[i])
                 continue
-            for pruner in (pruner_c, pruner_f):
-                result = pruner.classify_user(user)
-                for v in result.verify:
-                    nib_possible[v].add(user.uid)
-                for v in result.confirmed:  # only populated when use_ia
-                    ia_confirmed[v].add(user.uid)
-        for v in dataset.abstract_facilities:
-            allowed = nib_possible[v] | ia_confirmed[v]
-            to_verify[v] &= allowed
-            to_verify[v] -= ia_confirmed[v]
-        return ia_confirmed
+            inside = _nib_survivors(regions, p, relevant_rows)
+            in_ia = regions.ia_contains(p, inside)
+            confirmed[i] = np.union1d(confirmed[i], inside[in_ia])
+            to_verify[i] = np.intersect1d(
+                to_verify[i], inside[~in_ia], assume_unique=True
+            )
+
+
+def _sorted_rows(arena: PositionArena, uids: FrozenSet[int]) -> np.ndarray:
+    """Sorted arena rows of a set of user ids."""
+    if not uids:
+        return _NO_ROWS
+    rows = arena.rows_for(np.fromiter(uids, dtype=np.int64, count=len(uids)))
+    rows.sort()
+    return rows
+
+
+def _nib_survivors(
+    regions: PruningRegionArrays, p: Point, rows: np.ndarray
+) -> np.ndarray:
+    """The rows whose NIB region contains ``p``, in ``rows`` order."""
+    rows = rows[regions.nib_rect_contains(p, rows)]
+    return rows[regions.nib_contains(p, rows)]

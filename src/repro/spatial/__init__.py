@@ -1,12 +1,10 @@
-"""Spatial index substrate: R-tree, quad-tree, grid and the IQuad-tree."""
+"""Spatial index substrate: R-tree, quad-tree and the IQuad-tree."""
 
-from .grid import GridIndex
 from .iquadtree import IQuadTree, IQuadTreeStats, TraversalResult
 from .quadtree import QuadTree
 from .rtree import RTree
 
 __all__ = [
-    "GridIndex",
     "IQuadTree",
     "IQuadTreeStats",
     "QuadTree",

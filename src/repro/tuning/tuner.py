@@ -109,10 +109,13 @@ class KnobTuner:
         trace: The recorded workload to optimise for.
         cost_model: Machine-local cost coefficients; calibrated on the
             spot (a few seconds) when not supplied.
-        search_space: Knob grid overriding :data:`DEFAULT_SEARCH_SPACE`
-            per key.  ``tune_worlds`` adds the fixed-worlds world count
-            to the grid when the trace's queries use that capture model
-            (semantics-changing: the recommendation stops being exact).
+        search_space: Knob grid to search instead of
+            :func:`default_search_space`.  It is used as given: knobs it
+            leaves out keep their engine defaults, and no
+            machine-dependent axis is added.  ``tune_worlds`` adds the
+            fixed-worlds world count to the grid when the trace's
+            queries use that capture model (semantics-changing: the
+            recommendation stops being exact).
     """
 
     def __init__(
@@ -124,9 +127,10 @@ class KnobTuner:
     ) -> None:
         self.trace = trace
         self.cost_model = cost_model or CostModel.calibrate(repeats=1)
-        space = default_search_space()
         if search_space:
-            space.update({k: tuple(v) for k, v in search_space.items()})
+            space = {k: tuple(v) for k, v in search_space.items()}
+        else:
+            space = default_search_space()
         if tune_worlds and self._recorded_worlds():
             space.setdefault("worlds", (None, 8, 16, 32, 64))
         self.search_space = space

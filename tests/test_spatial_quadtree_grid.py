@@ -1,11 +1,11 @@
-"""Unit tests for the PR quad-tree and the uniform grid index."""
+"""Unit tests for the PR quad-tree."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import IndexError_
 from repro.geo import Point, Rect
-from repro.spatial import GridIndex, QuadTree
+from repro.spatial import QuadTree
 
 REGION = Rect(0, 0, 100, 100)
 
@@ -64,39 +64,3 @@ class TestQuadTree:
         pairs = list(qt.iter_range(Rect(0, 0, 10, 10)))
         assert pairs == [(Point(5, 5), "a")]
 
-
-class TestGridIndex:
-    def test_validation(self):
-        with pytest.raises(IndexError_):
-            GridIndex(REGION, cell_size=0)
-        with pytest.raises(IndexError_):
-            GridIndex(Rect(0, 0, 0, 1), cell_size=1)
-
-    def test_cell_addressing(self):
-        g = GridIndex(REGION, cell_size=10)
-        assert g.nx == 10 and g.ny == 10
-        assert g.cell_of(0, 0) == (0, 0)
-        assert g.cell_of(99.9, 99.9) == (9, 9)
-        assert g.cell_of(100, 100) == (9, 9)  # boundary clamps
-        assert g.cell_of(-5, 500) == (0, 9)  # outside clamps
-
-    def test_cell_rect(self):
-        g = GridIndex(REGION, cell_size=10)
-        assert g.cell_rect(2, 3) == Rect(20, 30, 30, 40)
-
-    @pytest.mark.parametrize("n", [1, 50, 400])
-    def test_range_matches_brute_force(self, n):
-        points = random_points(n, seed=n + 7)
-        g = GridIndex(REGION, cell_size=7.3)
-        for i, p in enumerate(points):
-            g.insert(p, i)
-        assert len(g) == n
-        for rect in [Rect(0, 0, 100, 100), Rect(13, 47, 61, 55), Rect(0, 0, 0.5, 0.5)]:
-            assert set(g.range_query(rect)) == brute_force(points, rect)
-
-    def test_occupied_cells(self):
-        g = GridIndex(REGION, cell_size=50)
-        g.insert(Point(10, 10), 0)
-        g.insert(Point(12, 12), 1)
-        g.insert(Point(90, 90), 2)
-        assert g.occupied_cells() == 2

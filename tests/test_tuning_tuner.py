@@ -94,6 +94,17 @@ class TestDefaultSearchSpace:
         tuner = KnobTuner(bursty_trace, cost_model=_toy_model())
         assert tuner.search_space["shard_workers"] == (0, 2, 4)
 
+    def test_explicit_grid_is_used_unchanged(self, bursty_trace, monkeypatch):
+        """A caller's grid replaces the machine grid: no sharding axis."""
+        monkeypatch.setattr("repro.tuning.tuner.os.cpu_count", lambda: 2)
+        space = {"prepared_cache_size": [8, 32], "max_workers": (1,)}
+        tuner = KnobTuner(bursty_trace, cost_model=_toy_model(), search_space=space)
+        assert tuner.search_space == {
+            "prepared_cache_size": (8, 32),
+            "max_workers": (1,),
+        }
+        assert len(list(tuner.candidates())) == 2
+
 
 class TestTune:
     def test_recommends_wider_prepared_cache_for_bursty(self, bursty_trace):

@@ -74,11 +74,9 @@ def run_autotune_benchmark(
         )
         cost_model = calibrate_timing.result
 
+        tuner = KnobTuner(trace, cost_model=cost_model)
         tune_timing = repeat_timed(
-            lambda: KnobTuner(trace, cost_model=cost_model).tune(
-                validate_top=validate_top
-            ),
-            stage_repeats,
+            lambda: tuner.tune(validate_top=validate_top), stage_repeats
         )
         recommendation = tune_timing.result
 
@@ -113,6 +111,9 @@ def run_autotune_benchmark(
             "record": record_timing.summary(),
             "calibrate": calibrate_timing.summary(),
             "tune": tune_timing.summary(),
+        },
+        "grid_axes": {
+            knob: len(values) for knob, values in sorted(tuner.search_space.items())
         },
         "candidates_scored": recommendation.candidates_scored,
         "cost_model": cost_model.as_dict(),

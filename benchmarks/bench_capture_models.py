@@ -82,7 +82,7 @@ def run_capture_models_benchmark(
     pf = paper_default_pf()
     ev = InfluenceEvaluator(pf, tau)
     resolve_timing = repeat_timed(
-        lambda: resolve_all_pairs(dataset, ev, batch_verify=True), repeats
+        lambda: resolve_all_pairs(dataset, ev), repeats
     )
     omega, f_o = resolve_timing.result
     table = InfluenceTable.from_mappings(omega, f_o)

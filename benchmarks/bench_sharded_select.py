@@ -85,7 +85,7 @@ def run_sharded_select_benchmark(
     # Single-process reference: the engine's in-process resolve + select.
     def single_resolve():
         ev = InfluenceEvaluator(pf, tau)
-        omega, f_o = resolve_all_pairs(dataset, ev, batch_verify=True)
+        omega, f_o = resolve_all_pairs(dataset, ev)
         return InfluenceTable.from_mappings(omega, f_o), ev.stats
 
     ref_prepare = repeat_timed(single_resolve, prepare_repeats)

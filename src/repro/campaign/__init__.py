@@ -5,7 +5,7 @@ incremental experiments:
 
 * :class:`CampaignSpec` / :class:`CampaignGrid` / :class:`DatasetAxis`
   — a declarative parameter grid (dataset spec × solver × capture
-  model × kernel knobs × τ × k × repeats), JSON-portable;
+  model × τ × k × repeats), JSON-portable;
 * :class:`RunPoint` — one pinned combination, keyed by the realized
   dataset content hash plus a canonical hash of the run parameters;
 * :class:`ResultStore` — atomic per-point JSON records on disk, so a

@@ -19,50 +19,24 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..bench.timing import TimingSample
 from ..capture import CaptureSpec, best_response_round
 from ..exceptions import CampaignError
 from ..influence import paper_default_pf
-from ..solvers import (
-    AdaptedKCIFPSolver,
-    BaselineGreedySolver,
-    IQTSolver,
-    IQTVariant,
-    MC2LSProblem,
-    Solver,
-)
+from ..service import SOLVER_FACTORIES, dataset_content_hash
+from ..solvers import MC2LSProblem, Solver
 from .spec import DatasetAxis, RunPoint
 
-#: Solver factories keyed by campaign solver name; knobs are the two
-#: kernel toggles (results are identical either way — the repo's
-#: bit-identity invariant).
-SOLVER_FACTORIES: Dict[str, Callable[[bool, bool], Solver]] = {
-    "baseline": lambda bv, fs: BaselineGreedySolver(
-        batch_verify=bv, fast_select=fs
-    ),
-    "k-cifp": lambda bv, fs: AdaptedKCIFPSolver(fast_select=fs),
-    "iqt": lambda bv, fs: IQTSolver(
-        variant=IQTVariant.IQT, batch_verify=bv, fast_select=fs
-    ),
-    "iqt-c": lambda bv, fs: IQTSolver(
-        variant=IQTVariant.IQT_C, batch_verify=bv, fast_select=fs
-    ),
-    "iqt-pino": lambda bv, fs: IQTSolver(
-        variant=IQTVariant.IQT_PINO, batch_verify=bv, fast_select=fs
-    ),
-}
-
-
-def build_solver(name: str, batch_verify: bool, fast_select: bool) -> Solver:
+def build_solver(name: str) -> Solver:
     try:
         factory = SOLVER_FACTORIES[name]
     except KeyError:
         raise CampaignError(
             f"unknown solver {name!r}; one of {sorted(SOLVER_FACTORIES)}"
         ) from None
-    return factory(batch_verify, fast_select)
+    return factory()
 
 
 def _x_values(dataset, point: RunPoint) -> Dict[str, Any]:
@@ -89,7 +63,7 @@ def _solve_workload(dataset, point: RunPoint, pf) -> tuple[Dict, tuple]:
         capture=None if capture_spec.is_default
         else capture_spec.build(dataset, pf),
     )
-    solver = build_solver(point.solver, point.batch_verify, point.fast_select)
+    solver = build_solver(point.solver)
     times = []
     outcome = None
     for _ in range(point.repeats):
@@ -117,7 +91,7 @@ def _solve_workload(dataset, point: RunPoint, pf) -> tuple[Dict, tuple]:
 def _compete_workload(dataset, point: RunPoint, pf) -> tuple[Dict, tuple]:
     """One best-response round per repeat over a shared resolution."""
     capture_spec = CaptureSpec(**point.capture_params)
-    solver = build_solver(point.solver, point.batch_verify, point.fast_select)
+    solver = build_solver(point.solver)
     resolved = solver.resolve(dataset, point.tau, pf)
     model = capture_spec.build(dataset, pf)
     cids = [c.fid for c in dataset.candidates]
@@ -131,7 +105,6 @@ def _compete_workload(dataset, point: RunPoint, pf) -> tuple[Dict, tuple]:
             point.k,
             model,
             k_rival=point.k_rival,
-            fast=point.fast_select,
         )
         times.append(time.perf_counter() - t0)
     payload = {
@@ -165,8 +138,6 @@ def execute_point(
     """
     point = RunPoint.from_params(grid, params)
     dataset = point.dataset.build()
-    from ..service import dataset_content_hash
-
     dataset_hash = dataset_content_hash(dataset)
     key = point.key(dataset_hash)
     if expected_key is not None and key != expected_key:

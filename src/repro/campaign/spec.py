@@ -2,8 +2,8 @@
 
 A :class:`CampaignSpec` is the portable description of one experiment
 campaign — a named list of :class:`CampaignGrid`\\ s, each a cartesian
-parameter grid (dataset spec × solver × capture model × kernel knobs ×
-τ × k, with a repeats count and an optional per-point timeout).  A grid
+parameter grid (dataset spec × solver × capture model × τ × k, with a
+repeats count and an optional per-point timeout).  A grid
 expands deterministically into :class:`RunPoint`\\ s, the memoization
 unit of the campaign layer: one point = one workload executed
 ``repeats`` times under one fully pinned parameter combination.
@@ -17,8 +17,7 @@ The hash-key contract (what the on-disk result store keys on):
   (scale env vars, generator edits, seeds) changes the key and forces a
   re-run.
 * the **run parameters** enter through a canonical JSON hash of
-  ``(workload, solver, capture, τ, k, k_rival, repeats, batch_verify,
-  fast_select)``.  Capture params are canonicalised first
+  ``(workload, solver, capture, τ, k, k_rival, repeats)``.  Capture params are canonicalised first
   (:func:`canonical_capture`): parameters foreign to the named model are
   dropped, exactly like :meth:`~repro.capture.CaptureSpec.cache_key`,
   so an ``evenly-split`` point never re-runs because an ignored
@@ -183,8 +182,6 @@ class RunPoint:
     tau: float
     k: int
     repeats: int
-    batch_verify: bool = True
-    fast_select: bool = True
     k_rival: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -219,8 +216,6 @@ class RunPoint:
             "tau": float(self.tau),
             "k": int(self.k),
             "repeats": int(self.repeats),
-            "batch_verify": bool(self.batch_verify),
-            "fast_select": bool(self.fast_select),
         }
         if self.workload == "compete":
             params["k_rival"] = self.k_rival
@@ -257,8 +252,6 @@ class RunPoint:
             tau=float(params["tau"]),
             k=int(params["k"]),
             repeats=int(params["repeats"]),
-            batch_verify=bool(params.get("batch_verify", True)),
-            fast_select=bool(params.get("fast_select", True)),
             k_rival=params.get("k_rival"),
         )
 
@@ -268,8 +261,8 @@ class CampaignGrid:
     """One cartesian grid within a campaign.
 
     Axes (each a sequence; singletons are fine): ``datasets``,
-    ``solvers``, ``captures``, ``taus``, ``ks``, plus scalar knobs
-    ``batch_verify`` / ``fast_select`` and the per-point ``repeats``.
+    ``solvers``, ``captures``, ``taus``, ``ks``, plus the per-point
+    ``repeats``.
     ``x`` names the aggregation's x column (one of :data:`X_AXES`);
     ``series`` names the pivoted axis (``solver`` or ``capture``).
     """
@@ -286,8 +279,6 @@ class CampaignGrid:
     x: str = "k"
     series: str = "solver"
     repeats: int = 3
-    batch_verify: bool = True
-    fast_select: bool = True
     k_rival: Optional[int] = None
     timeout_s: Optional[float] = None
     title: str = ""
@@ -320,8 +311,6 @@ class CampaignGrid:
                                 tau=float(tau),
                                 k=int(k),
                                 repeats=self.repeats,
-                                batch_verify=self.batch_verify,
-                                fast_select=self.fast_select,
                                 k_rival=self.k_rival,
                             )
 
@@ -338,8 +327,6 @@ class CampaignGrid:
             "captures": [dict(c) for c in self.captures],
             "taus": list(self.taus),
             "ks": list(self.ks),
-            "batch_verify": self.batch_verify,
-            "fast_select": self.fast_select,
         }
         if self.k_rival is not None:
             out["k_rival"] = self.k_rival
@@ -353,8 +340,8 @@ class CampaignGrid:
     def from_dict(cls, spec: Dict[str, Any]) -> "CampaignGrid":
         known = {
             "name", "workload", "x", "series", "repeats", "datasets",
-            "solvers", "captures", "taus", "ks", "batch_verify",
-            "fast_select", "k_rival", "timeout_s", "title",
+            "solvers", "captures", "taus", "ks", "k_rival", "timeout_s",
+            "title",
         }
         unknown = set(spec) - known
         if unknown:
@@ -378,8 +365,6 @@ class CampaignGrid:
             x=spec.get("x", "k"),
             series=spec.get("series", "solver"),
             repeats=int(spec.get("repeats", 3)),
-            batch_verify=bool(spec.get("batch_verify", True)),
-            fast_select=bool(spec.get("fast_select", True)),
             k_rival=spec.get("k_rival"),
             timeout_s=spec.get("timeout_s"),
             title=spec.get("title", ""),

@@ -169,10 +169,10 @@ class SetIndependentCapture(CaptureModel):
     The wrapped model's ``user_share`` supplies the per-user weight;
     capture is ``share(o)`` when ``G`` covers ``o`` and 0 otherwise.
     Selection through :func:`~repro.solvers.run_selection` routes to the
-    unchanged scalar/CSR kernels with :attr:`weight_model`, which is what
-    makes evenly-split through this contract **bit-identical** to the
-    legacy path (the differential suite pins it across every solver and
-    kernel knob).
+    unchanged CSR kernel with :attr:`weight_model`, which is what makes
+    evenly-split through this contract **bit-identical** to the legacy
+    path (the differential suite pins it across every solver and against
+    the scalar reference greedy).
     """
 
     set_independent = True

@@ -37,7 +37,6 @@ from ..competition import InfluenceTable
 from ..exceptions import CaptureError
 from ..solvers.selection import CancelCheck
 from .base import CaptureModel
-from .select import capture_select
 from .utilities import rival_competitor_id
 
 
@@ -73,24 +72,14 @@ def _solve(
     candidate_ids: Tuple[int, ...],
     k: int,
     model: CaptureModel,
-    fast: bool,
     cancel_check: CancelCheck,
 ):
     """One greedy solve through the model's production path."""
-    if model.set_independent:
-        # The CSR kernel path; imported here to avoid a package cycle.
-        from ..solvers.selection import run_selection
+    # Imported here to avoid a package cycle.
+    from ..solvers.selection import run_selection
 
-        return run_selection(
-            table,
-            candidate_ids,
-            k,
-            model=model.weight_model,
-            fast_select=fast,
-            cancel_check=cancel_check,
-        )
-    return capture_select(
-        table, candidate_ids, k, model, fast=fast, cancel_check=cancel_check
+    return run_selection(
+        table, candidate_ids, k, cancel_check=cancel_check, capture=model
     )
 
 
@@ -131,7 +120,6 @@ def best_response_round(
     k: int,
     model: CaptureModel,
     k_rival: Optional[int] = None,
-    fast: bool = True,
     cancel_check: CancelCheck = None,
 ) -> BestResponseReport:
     """Play one leader/rival best-response round (see module docstring).
@@ -143,12 +131,10 @@ def best_response_round(
         model: Capture model both players optimise under.
         k_rival: Rival cardinality (defaults to ``k``, capped by the
             candidates remaining after the leader moves).
-        fast: Route both players through the vectorized kernels
-            (``False`` uses the scalar differential oracles end-to-end).
         cancel_check: Optional deadline probe, threaded into every solve.
     """
     cids = tuple(sorted({int(c) for c in candidate_ids}))
-    leader = _solve(table, cids, k, model, fast, cancel_check)
+    leader = _solve(table, cids, k, model, cancel_check)
     g0 = tuple(sorted(leader.selected))
 
     pool = tuple(c for c in cids if c not in set(g0))
@@ -157,7 +143,7 @@ def best_response_round(
     contested = rival_table(table, g0)
     if k_riv > 0 and pool:
         riv_restricted = contested.restricted(set(pool))
-        rival = _solve(riv_restricted, pool, k_riv, model, fast, cancel_check)
+        rival = _solve(riv_restricted, pool, k_riv, model, cancel_check)
         b = tuple(sorted(rival.selected))
         rival_objective = rival.objective
     else:
@@ -174,7 +160,7 @@ def best_response_round(
     if k_adapt > 0 and adapted_pool:
         adapted_restricted = eroded_table.restricted(set(adapted_pool))
         adapted = _solve(
-            adapted_restricted, adapted_pool, k_adapt, model, fast, cancel_check
+            adapted_restricted, adapted_pool, k_adapt, model, cancel_check
         )
         g1 = tuple(sorted(adapted.selected))
         adapted_objective = adapted.objective

@@ -8,20 +8,17 @@ one numpy pass over a candidate's CSR segment per refresh.  Models with
 ``submodular = False`` would make stale CELF bounds unsound, so they
 fall back to a full per-round rescan.
 
-Ties break toward the smallest candidate id, matching the scalar and
-CSR evenly-split paths, so selections stay reproducible across
-execution modes.
-
-``fast=False`` replaces the vectorized state with the model's scalar
-reference oracle (:meth:`~repro.capture.CaptureModel.gain`, recomputed
-every round) — deliberately slow, kept as the differential-test anchor
-the property suite compares the fast path against.
+Ties break toward the smallest candidate id, matching the CSR
+evenly-split path, so selections stay reproducible across execution
+modes.  The model's scalar :meth:`~repro.capture.CaptureModel.gain`,
+recomputed every round, is the reference the differential suites
+compare this loop against.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from ..competition import InfluenceTable
 from ..exceptions import SolverError
@@ -29,44 +26,11 @@ from ..solvers.selection import CancelCheck, GreedyOutcome
 from .base import CaptureModel
 
 
-def _scalar_capture_greedy(
-    table: InfluenceTable,
-    candidate_ids: Sequence[int],
-    k: int,
-    model: CaptureModel,
-    cancel_check: CancelCheck,
-) -> GreedyOutcome:
-    """Recompute-every-round greedy over the scalar reference oracle."""
-    remaining = sorted(int(c) for c in candidate_ids)
-    selected: List[int] = []
-    gains: List[float] = []
-    evaluations = 0
-    chosen: Set[int] = set()
-    for _ in range(k):
-        if cancel_check is not None:
-            cancel_check()
-        best_cid = None
-        best_gain = -1.0
-        for cid in remaining:
-            gain = model.gain(table, chosen, cid)
-            evaluations += 1
-            if gain > best_gain:
-                best_gain = gain
-                best_cid = cid
-        assert best_cid is not None
-        selected.append(best_cid)
-        gains.append(best_gain)
-        chosen.add(best_cid)
-        remaining.remove(best_cid)
-    return GreedyOutcome(tuple(selected), sum(gains), tuple(gains), evaluations)
-
-
 def capture_select(
     table: InfluenceTable,
     candidate_ids: Sequence[int],
     k: int,
     model: CaptureModel,
-    fast: bool = True,
     cancel_check: CancelCheck = None,
 ) -> GreedyOutcome:
     """Greedy ``k``-selection under a set-aware capture model.
@@ -80,9 +44,6 @@ def capture_select(
     if k < 1 or k > len(cids):
         raise SolverError(f"k={k} infeasible for {len(cids)} candidates")
     table.validate_against(set(cids))
-    if not fast:
-        return _scalar_capture_greedy(table, cids, k, model, cancel_check)
-
     state = model.make_state(table, cids)
     n = len(state.candidate_ids)
     selected: List[int] = []

@@ -22,9 +22,8 @@ Commands:
 
 Datasets are either the calibrated synthetic populations (``--dataset c``
 / ``--dataset n``) or a real SNAP check-in dump (``--checkins FILE``).
-``solve`` and ``compare`` accept ``--no-batch-verify`` /
-``--no-fast-select`` to fall back to the scalar verification and
-selection kernels (the ablation knobs, otherwise on by default).
+Every command runs the one production kernel per phase: batched
+verification and CSR selection.
 
 ``solve`` / ``compare`` / ``serve`` / ``compete`` accept
 ``--capture-model`` to swap the customer-choice capture model (the
@@ -46,54 +45,8 @@ from .entities import SpatialDataset
 from .capture import CaptureSpec
 from .exceptions import ReproError
 from .influence import paper_default_pf
-from .solvers import (
-    AdaptedKCIFPSolver,
-    BaselineGreedySolver,
-    IQTSolver,
-    IQTVariant,
-    MC2LSProblem,
-    Solver,
-)
-
-_SOLVERS = {
-    "baseline": lambda bv, fs: BaselineGreedySolver(batch_verify=bv, fast_select=fs),
-    "k-cifp": lambda bv, fs: AdaptedKCIFPSolver(fast_select=fs),
-    "iqt": lambda bv, fs: IQTSolver(
-        variant=IQTVariant.IQT, batch_verify=bv, fast_select=fs
-    ),
-    "iqt-c": lambda bv, fs: IQTSolver(
-        variant=IQTVariant.IQT_C, batch_verify=bv, fast_select=fs
-    ),
-    "iqt-pino": lambda bv, fs: IQTSolver(
-        variant=IQTVariant.IQT_PINO, batch_verify=bv, fast_select=fs
-    ),
-}
-
-
-def _make_solver(name: str, args: argparse.Namespace) -> Solver:
-    return _SOLVERS[name](not args.no_batch_verify, not args.no_fast_select)
-
-
-def _kernel_label(solver: Solver) -> str:
-    """Which optimised kernels a solver instance has active."""
-    parts = []
-    if getattr(solver, "batch_verify", False):
-        parts.append("batch-verify")
-    if getattr(solver, "fast_select", False):
-        parts.append("csr-select")
-    return "+".join(parts) if parts else "scalar"
-
-
-def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-batch-verify", action="store_true",
-        help="verify influence pairs with the scalar loop instead of the "
-             "batched kernel (results are identical)")
-    parser.add_argument(
-        "--no-fast-select", action="store_true",
-        help="run the greedy phase with the scalar loop instead of the "
-             "vectorized CSR kernel (results are identical)")
-
+from .service import SOLVER_FACTORIES
+from .solvers import MC2LSProblem, Solver
 
 def _add_capture_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -168,10 +121,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             dataset, paper_default_pf()
         ),
     )
-    solver: Solver = _make_solver(args.solver, args)
+    solver: Solver = SOLVER_FACTORIES[args.solver]()
     result = solver.solve(problem)
     print(dataset.describe())
-    print(f"kernels: {_kernel_label(solver)}   capture: {spec.model}")
+    print(f"capture: {spec.model}")
     rows = [
         {
             "round": i + 1,
@@ -202,10 +155,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"capture: {spec.model}")
     rows = []
     reference = None
-    for name in _SOLVERS:
+    for name, factory in SOLVER_FACTORIES.items():
         if name == "baseline" and args.skip_baseline:
             continue
-        solver = _make_solver(name, args)
+        solver = factory()
         result = solver.solve(problem)
         if reference is None:
             reference = result.selected
@@ -213,7 +166,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "solver": name,
-                "kernels": _kernel_label(solver),
                 "time_s": result.total_time,
                 "evaluations": result.evaluation.total_evaluations,
                 "positions_touched": result.evaluation.positions_touched,
@@ -251,8 +203,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             k=k,
             tau=tau,
             solver=args.solver,
-            batch_verify=not args.no_batch_verify,
-            fast_select=not args.no_fast_select,
             capture=None if spec.is_default else spec,
         )
         for tau in taus
@@ -328,7 +278,7 @@ def _cmd_compete(args: argparse.Namespace) -> int:
     dataset = _build_dataset(args)
     spec = _capture_spec(args)
     pf = paper_default_pf()
-    solver: Solver = _make_solver(args.solver, args)
+    solver: Solver = SOLVER_FACTORIES[args.solver]()
     resolved = solver.resolve(dataset, args.tau, pf)
     model = spec.build(dataset, pf)
     report = best_response_round(
@@ -337,7 +287,6 @@ def _cmd_compete(args: argparse.Namespace) -> int:
         args.k,
         model,
         k_rival=args.k_rival,
-        fast=not args.no_fast_select,
     )
     print(dataset.describe())
     print(f"capture: {spec.model}   solver: {solver.name}   "
@@ -601,16 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance")
     _add_dataset_args(solve)
-    _add_kernel_args(solve)
     solve.add_argument("--k", type=int, default=5)
     solve.add_argument("--tau", type=float, default=0.7)
-    solve.add_argument("--solver", choices=sorted(_SOLVERS), default="iqt")
+    solve.add_argument("--solver", choices=sorted(SOLVER_FACTORIES), default="iqt")
     _add_capture_args(solve)
     solve.set_defaults(func=_cmd_solve)
 
     compare = sub.add_parser("compare", help="run all algorithms and compare")
     _add_dataset_args(compare)
-    _add_kernel_args(compare)
     compare.add_argument("--k", type=int, default=5)
     compare.add_argument("--tau", type=float, default=0.7)
     compare.add_argument("--skip-baseline", action="store_true",
@@ -621,8 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run a what-if query batch through the serving engine")
     _add_dataset_args(serve)
-    _add_kernel_args(serve)
-    serve.add_argument("--solver", choices=sorted(_SOLVERS), default="iqt")
+    serve.add_argument("--solver", choices=sorted(SOLVER_FACTORIES), default="iqt")
     serve.add_argument("--k-max", type=int, default=8,
                        help="queries sweep k = 1 .. k-max (default: 8)")
     serve.add_argument("--taus", default="0.6,0.7",
@@ -656,13 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
         "compete",
         help="two-player best-response round: leader, rival, erosion")
     _add_dataset_args(compete)
-    _add_kernel_args(compete)
     compete.add_argument("--k", type=int, default=5,
                          help="leader cardinality (default: 5)")
     compete.add_argument("--k-rival", type=int, default=None, metavar="K",
                          help="rival cardinality (default: same as --k)")
     compete.add_argument("--tau", type=float, default=0.7)
-    compete.add_argument("--solver", choices=sorted(_SOLVERS), default="iqt")
+    compete.add_argument("--solver", choices=sorted(SOLVER_FACTORIES), default="iqt")
     _add_capture_args(compete)
     compete.set_defaults(func=_cmd_compete)
 
@@ -678,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--candidates", type=int, default=20)
     record.add_argument("--facilities", type=int, default=40)
     record.add_argument("--seed", type=int, default=0)
-    record.add_argument("--solver", choices=sorted(_SOLVERS), default="iqt")
+    record.add_argument("--solver", choices=sorted(SOLVER_FACTORIES), default="iqt")
     record.set_defaults(func=_cmd_record)
 
     replay = sub.add_parser(

@@ -133,17 +133,12 @@ def solve_on_network(
     tau: float = 0.7,
     pf: Optional[ProbabilityFunction] = None,
     cutoff: Optional[float] = None,
-    fast_select: bool = True,
 ) -> NetworkSolveResult:
-    """Solve MC²LS with network distances end to end.
-
-    ``fast_select`` routes the greedy through the vectorized CSR kernel
-    (identical selection); ``False`` restores the scalar greedy.
-    """
+    """Solve MC²LS with network distances end to end."""
     model = NetworkInfluenceModel(network, dataset, pf=pf, tau=tau, cutoff=cutoff)
     table = model.build_table()
     outcome: GreedyOutcome = run_selection(
-        table, [c.fid for c in dataset.candidates], k, fast_select=fast_select
+        table, [c.fid for c in dataset.candidates], k
     )
     return NetworkSolveResult(
         selected=outcome.selected,

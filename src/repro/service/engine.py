@@ -8,18 +8,17 @@ one published :class:`~repro.service.DatasetSnapshot`:
 2. **Prepared-instance cache** — otherwise the engine fetches (or
    resolves) the :class:`~repro.service.PreparedInstance` for
    ``(snapshot, solver, PF, τ)`` and runs only the cheap greedy phase
-   with the query's ``k`` / mask / kernel knobs.
+   with the query's ``k`` / mask.
 3. **Scheduler** — :meth:`SelectionEngine.submit` executes queries on a
    bounded thread pool with admission control and per-query deadlines;
    the deadline probe is threaded into every greedy round.
 
-Cache keys deliberately exclude the ``batch_verify`` / ``fast_select``
-knobs: those select execution kernels whose outputs are bit-identical
-(the repository's core invariant, enforced by the differential suites),
-so caching across them is sound.  Keys always lead with the snapshot
-content hash — a republished population gets a new hash, making stale
-service impossible by construction; supersession additionally sweeps the
-old hash's entries out of both caches.
+Each phase runs one kernel — the batched verifier and the CSR
+selector — so a query names no kernel and cache keys carry none.  Keys
+always lead with the snapshot content hash — a republished population
+gets a new hash, making stale service impossible by construction;
+supersession additionally sweeps the old hash's entries out of both
+caches.
 
 Every result carries :class:`QueryStats`: where it came from (cache
 provenance), what it cost (phase timings, verification counters), and
@@ -31,7 +30,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,9 +57,6 @@ from .shared import SharedArrayStore
 from .sharding import ShardCoordinator
 from .snapshot import DatasetSnapshot
 
-#: Solvers the engine can prepare with, by CLI-compatible name.  Each
-#: factory takes the query's ``batch_verify`` knob; solvers without a
-#: batched verification path ignore it.
 #: Churn fraction (delta events over serving population) above which the
 #: engine republish stops migrating prepared instances and falls back to
 #: plain invalidation — a mostly-new population re-resolves about as fast
@@ -68,18 +64,14 @@ from .snapshot import DatasetSnapshot
 #: queried again is pure waste at that point.
 _MIGRATE_FRACTION = 0.5
 
-SOLVER_FACTORIES: Dict[str, Any] = {
-    "baseline": lambda batch_verify: BaselineGreedySolver(batch_verify=batch_verify),
-    "k-cifp": lambda batch_verify: AdaptedKCIFPSolver(),
-    "iqt": lambda batch_verify: IQTSolver(
-        variant=IQTVariant.IQT, batch_verify=batch_verify
-    ),
-    "iqt-c": lambda batch_verify: IQTSolver(
-        variant=IQTVariant.IQT_C, batch_verify=batch_verify
-    ),
-    "iqt-pino": lambda batch_verify: IQTSolver(
-        variant=IQTVariant.IQT_PINO, batch_verify=batch_verify
-    ),
+#: Solvers the engine can prepare with, by CLI-compatible name; each
+#: factory builds the solver with its defaults.
+SOLVER_FACTORIES: Dict[str, Callable[[], Solver]] = {
+    "baseline": BaselineGreedySolver,
+    "k-cifp": AdaptedKCIFPSolver,
+    "iqt": lambda: IQTSolver(variant=IQTVariant.IQT),
+    "iqt-c": lambda: IQTSolver(variant=IQTVariant.IQT_C),
+    "iqt-pino": lambda: IQTSolver(variant=IQTVariant.IQT_PINO),
 }
 
 
@@ -94,8 +86,6 @@ class SelectionQuery:
         pf: Probability function (paper default when ``None``).
         candidate_ids: Optional candidate mask — select only from this
             subset of the snapshot's candidates.
-        batch_verify: Kernel knob for the resolution phase.
-        fast_select: Kernel knob for the greedy phase.
         deadline_s: Cooperative deadline in seconds, measured from
             submission; ``None`` disables it.
         use_cache: Look up / populate the engine caches (disable for
@@ -115,8 +105,6 @@ class SelectionQuery:
     solver: str = "iqt"
     pf: Optional[ProbabilityFunction] = None
     candidate_ids: Optional[Tuple[int, ...]] = None
-    batch_verify: bool = True
-    fast_select: bool = True
     deadline_s: Optional[float] = None
     use_cache: bool = True
     capture: Optional[CaptureSpec] = None
@@ -151,8 +139,6 @@ class SelectionQuery:
             "candidate_ids": (
                 None if self.candidate_ids is None else list(self.candidate_ids)
             ),
-            "batch_verify": self.batch_verify,
-            "fast_select": self.fast_select,
             "deadline_s": self.deadline_s,
             "use_cache": self.use_cache,
             "capture": (
@@ -162,7 +148,11 @@ class SelectionQuery:
 
     @classmethod
     def from_dict(cls, spec: Dict[str, Any]) -> "SelectionQuery":
-        """Rebuild a query serialised by :meth:`as_dict`."""
+        """Rebuild a query serialised by :meth:`as_dict`.
+
+        Keys this version no longer reads, such as the retired kernel
+        toggles of older recordings, are ignored.
+        """
         pf_spec = spec.get("pf")
         capture_spec = spec.get("capture")
         candidate_ids = spec.get("candidate_ids")
@@ -174,8 +164,6 @@ class SelectionQuery:
             candidate_ids=(
                 None if candidate_ids is None else tuple(candidate_ids)
             ),
-            batch_verify=bool(spec.get("batch_verify", True)),
-            fast_select=bool(spec.get("fast_select", True)),
             deadline_s=spec.get("deadline_s"),
             use_cache=bool(spec.get("use_cache", True)),
             capture=(
@@ -411,7 +399,7 @@ class SelectionEngine:
         pkey: Tuple[Any, ...],
     ) -> Tuple[PreparedInstance, str]:
         def build() -> PreparedInstance:
-            solver: Solver = SOLVER_FACTORIES[query.solver](query.batch_verify)
+            solver: Solver = SOLVER_FACTORIES[query.solver]()
             spec = query.capture_spec
             # The default spec passes capture=None: the prepared instance
             # then takes the untouched legacy path, keeping evenly-split
@@ -638,7 +626,6 @@ class SelectionEngine:
         outcome = prepared.select(
             query.k,
             candidate_ids=query.candidate_ids,
-            fast_select=query.fast_select,
             cancel_check=token.check,
         )
         now = time.perf_counter()

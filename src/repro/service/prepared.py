@@ -4,12 +4,12 @@ A :class:`PreparedInstance` is the serving-side unit of amortisation: the
 influence table for one ``(snapshot, solver, PF, τ)`` configuration,
 resolved once through the solver's :meth:`~repro.solvers.Solver.resolve`
 layer, plus the CSR :class:`~repro.solvers.CoverageMatrix` densification
-built lazily on the first fast-path selection.  Queries that differ only
-in ``k``, kernel knobs or candidate mask reuse all of it.
+built lazily on the first selection.  Queries that differ only in ``k``
+or candidate mask reuse all of it.
 
 Candidate-mask queries exploit the matrix column structure via
 :meth:`~repro.solvers.CoverageMatrix.restrict` (CSR segment gathering, no
-re-resolution); the scalar path uses
+re-resolution); set-aware capture models use
 :meth:`~repro.competition.InfluenceTable.restricted`.  Either way the
 selection is identical to solving the instance whose candidate set *is*
 the subset — the differential suite pins this against direct solver runs.
@@ -31,7 +31,7 @@ from ..exceptions import ServiceError, SolverError
 from ..influence import ProbabilityFunction, paper_default_pf
 from ..solvers import ResolvedInstance, Solver, patch_resolution
 from ..solvers.coverage import CoverageMatrix
-from ..solvers.selection import CancelCheck, GreedyOutcome, greedy_select
+from ..solvers.selection import CancelCheck, GreedyOutcome
 from .cache import LRUCache
 from .snapshot import DatasetSnapshot
 
@@ -99,7 +99,6 @@ class PreparedInstance:
         cls,
         old: "PreparedInstance",
         snapshot: DatasetSnapshot,
-        batch_verify: bool = True,
         warm_start: bool = True,
     ) -> "PreparedInstance":
         """Delta-splice a prepared instance onto a successor snapshot.
@@ -113,7 +112,7 @@ class PreparedInstance:
         :meth:`~repro.solvers.CoverageMatrix.patched`).
 
         **Bit-identity contract.**  Every query observable — selections,
-        gains, objectives, for any ``k`` / candidate mask / kernel knob —
+        gains, objectives, for any ``k`` / candidate mask —
         is bit-identical to a fresh ``PreparedInstance`` resolved against
         ``snapshot``; the property suite pins this across all solvers.
         Only the *cost* accounting differs (that is the point): the
@@ -169,7 +168,6 @@ class PreparedInstance:
             delta.removed,
             old.tau,
             old.pf,
-            batch_verify=batch_verify,
         )
         inst.table = inst.resolved.table
         inst.candidate_ids = candidate_ids
@@ -197,14 +195,8 @@ class PreparedInstance:
         if self._matrix is None:
             with self._lock:
                 if self._matrix is None:
-                    model = (
-                        self.capture.weight_model
-                        if self.capture is not None
-                        and self.capture.set_independent
-                        else None
-                    )
                     self._matrix = CoverageMatrix(
-                        self.table, self.candidate_ids, model=model
+                        self.table, self.candidate_ids, model=self._weight_model()
                     )
         return self._matrix
 
@@ -230,7 +222,6 @@ class PreparedInstance:
         self,
         k: int,
         candidate_ids: Optional[Sequence[int]] = None,
-        fast_select: bool = True,
         cancel_check: CancelCheck = None,
     ) -> GreedyOutcome:
         """Greedy ``k``-selection over all candidates or a subset.
@@ -240,21 +231,11 @@ class PreparedInstance:
         same bit-exact gains.
 
         Under a set-aware capture model every select runs the CELF
-        capture loop over the amortised table (``fast_select`` picks the
-        vectorized oracle state versus the scalar reference oracle);
-        set-independent models keep the CSR/scalar kernels below.
+        capture loop over the amortised table; set-independent models
+        select through the CSR matrix.
         """
-        cap = self.capture
-        if cap is not None and not cap.set_independent:
-            if candidate_ids is None:
-                return capture_select(
-                    self.table,
-                    self.candidate_ids,
-                    k,
-                    cap,
-                    fast=fast_select,
-                    cancel_check=cancel_check,
-                )
+        subset = None
+        if candidate_ids is not None:
             subset = tuple(sorted(set(int(c) for c in candidate_ids)))
             unknown = set(subset) - set(self.candidate_ids)
             if unknown:
@@ -263,40 +244,21 @@ class PreparedInstance:
                 )
             if not subset:
                 raise SolverError("candidate mask is empty")
+        cap = self.capture
+        if cap is not None and not cap.set_independent:
+            if subset is None:
+                return capture_select(
+                    self.table, self.candidate_ids, k, cap, cancel_check=cancel_check
+                )
             return capture_select(
                 self.table.restricted(set(subset)),
                 subset,
                 k,
                 cap,
-                fast=fast_select,
                 cancel_check=cancel_check,
             )
-        if candidate_ids is None:
-            if fast_select:
-                return self.matrix().select(
-                    k, cancel_check=cancel_check, warm_start=self._warm
-                )
-            return greedy_select(
-                self.table,
-                self.candidate_ids,
-                k,
-                model=self._weight_model(),
-                cancel_check=cancel_check,
+        if subset is None:
+            return self.matrix().select(
+                k, cancel_check=cancel_check, warm_start=self._warm
             )
-        subset = tuple(sorted(set(int(c) for c in candidate_ids)))
-        unknown = set(subset) - set(self.candidate_ids)
-        if unknown:
-            raise SolverError(f"candidate mask references unknown sites {unknown}")
-        if not subset:
-            raise SolverError("candidate mask is empty")
-        if fast_select:
-            return self._restricted_matrix(subset).select(
-                k, cancel_check=cancel_check
-            )
-        return greedy_select(
-            self.table.restricted(set(subset)),
-            subset,
-            k,
-            model=self._weight_model(),
-            cancel_check=cancel_check,
-        )
+        return self._restricted_matrix(subset).select(k, cancel_check=cancel_check)

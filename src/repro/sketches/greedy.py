@@ -68,7 +68,6 @@ def sketched_coverage_greedy(
     k: int,
     n_registers: int = 256,
     seed: int = 0,
-    fast_select: bool = True,
 ) -> SketchedOutcome:
     """Greedy maximisation of ``|Ω_G|`` using FM sketches.
 
@@ -87,11 +86,11 @@ def sketched_coverage_greedy(
         n_registers: Sketch size; more registers → estimates closer to the
             exact greedy.
         seed: Sketch hash seed.
-        fast_select: Evaluate each round's estimates from register-wise
-            maxima over a dense ``(n, m)`` register matrix instead of
-            building a throwaway union sketch per candidate — the
-            estimates (and hence the selection) are bit-identical;
-            ``False`` restores the sketch-object loop.
+
+    Each round's estimates come from register-wise maxima over a dense
+    ``(n, m)`` register matrix instead of a throwaway union sketch per
+    candidate; the estimates, and hence the selection, are bit-identical
+    to the sketch-object loop.
     """
     if k < 1 or k > len(candidate_ids):
         raise SolverError(f"k={k} infeasible for {len(candidate_ids)} candidates")
@@ -99,14 +98,9 @@ def sketched_coverage_greedy(
         cid: FMSketch.of(table.omega_c.get(cid, ()), n_registers, seed)
         for cid in candidate_ids
     }
-    if fast_select:
-        selected, gains, current = _sketched_rounds_fast(
-            sketches, sorted(candidate_ids), k, n_registers
-        )
-    else:
-        selected, gains, current = _sketched_rounds(
-            sketches, sorted(candidate_ids), k, n_registers, seed
-        )
+    selected, gains, current = _sketched_rounds(
+        sketches, sorted(candidate_ids), k, n_registers
+    )
     covered: Set[int] = set()
     for cid in selected:
         covered |= table.omega_c.get(cid, set())
@@ -120,35 +114,6 @@ def sketched_coverage_greedy(
 
 def _sketched_rounds(
     sketches: Dict[int, FMSketch],
-    remaining: List[int],
-    k: int,
-    n_registers: int,
-    seed: int,
-) -> Tuple[List[int], List[float], float]:
-    """Scalar reference loop: one throwaway union sketch per evaluation."""
-    union = FMSketch(n_registers, seed)
-    current = 0.0
-    selected: List[int] = []
-    gains: List[float] = []
-    for _ in range(k):
-        best_cid = None
-        best_gain = 0.0
-        for cid in remaining:
-            gain = max(0.0, union.union(sketches[cid]).estimate() - current)
-            if best_cid is None or gain > best_gain:
-                best_gain = gain
-                best_cid = cid
-        assert best_cid is not None
-        selected.append(best_cid)
-        gains.append(best_gain)
-        union.union_update(sketches[best_cid])
-        current = union.estimate()
-        remaining.remove(best_cid)
-    return selected, gains, current
-
-
-def _sketched_rounds_fast(
-    sketches: Dict[int, FMSketch],
     remaining_ids: List[int],
     k: int,
     n_registers: int,
@@ -159,8 +124,8 @@ def _sketched_rounds_fast(
     aggregates over ``max(union, registers)``; those are integer
     reductions over a dense matrix, and the float estimate itself is
     formed with the exact scalar arithmetic of ``FMSketch.estimate``,
-    so every gain — and therefore the selection — is bit-equal to the
-    scalar loop's.
+    so every gain — and therefore the selection — is bit-equal to a loop
+    over union sketch objects.
     """
     cand = np.array(remaining_ids, dtype=np.int64)
     regs = np.array(

@@ -128,7 +128,6 @@ def patch_resolution(
     removed_uids: Tuple[int, ...],
     tau: float,
     pf: ProbabilityFunction,
-    batch_verify: bool = True,
     early_stopping: bool = True,
 ) -> Tuple[ResolvedInstance, Dict[int, Set[int]]]:
     """Re-resolve only the dirty user rows of a previously resolved table.
@@ -142,11 +141,10 @@ def patch_resolution(
     cannot change any other user's row.
 
     Each dirty user is decided against *all* candidates and facilities
-    through the batched kernel (or the scalar evaluator when
-    ``batch_verify`` is off — decisions and counters are bit-identical
-    either way).  The resulting ``omega_c`` therefore matches a fresh
-    resolve of ``dataset`` exactly; ``f_o`` matches on every user a
-    candidate influences, which is the subset selection ever reads.
+    through the batched kernel.  The resulting ``omega_c`` therefore
+    matches a fresh resolve of ``dataset`` exactly; ``f_o`` matches on
+    every user a candidate influences, which is the subset selection
+    ever reads.
 
     Returns:
         ``(resolved, added_cover)`` — the patched resolution (timings
@@ -182,46 +180,27 @@ def patch_resolution(
         if uid not in doomed
     }
 
-    evaluator = InfluenceEvaluator(pf, tau, early_stopping=early_stopping)
+    batch = BatchInfluenceEvaluator(pf, tau, early_stopping=early_stopping)
     added_cover: Dict[int, Set[int]] = {}
     with timer.mark("patch"):
-        if batch_verify:
-            batch = BatchInfluenceEvaluator(
-                pf, tau, early_stopping=early_stopping, stats=evaluator.stats
-            )
-            cand_xy = np.array(
-                [[c.x, c.y] for c in dataset.candidates], dtype=np.float64
-            ).reshape(-1, 2)
-            fac_xy = np.array(
-                [[f.x, f.y] for f in dataset.facilities], dtype=np.float64
-            ).reshape(-1, 2)
-            for uid in dirty_uids:
-                pos = users_by_uid[uid].positions
-                hit = batch.influences_facilities(cand_xy, pos)
-                covering = {c.fid for c, h in zip(dataset.candidates, hit) if h}
-                hit = batch.influences_facilities(fac_xy, pos)
-                f_o[uid] = {f.fid for f, h in zip(dataset.facilities, hit) if h}
-                added_cover[uid] = covering
-        else:
-            for uid in dirty_uids:
-                pos = users_by_uid[uid].positions
-                covering = {
-                    c.fid
-                    for c in dataset.candidates
-                    if evaluator.influences(c.x, c.y, pos)
-                }
-                f_o[uid] = {
-                    f.fid
-                    for f in dataset.facilities
-                    if evaluator.influences(f.x, f.y, pos)
-                }
-                added_cover[uid] = covering
+        cand_xy = np.array(
+            [[c.x, c.y] for c in dataset.candidates], dtype=np.float64
+        ).reshape(-1, 2)
+        fac_xy = np.array(
+            [[f.x, f.y] for f in dataset.facilities], dtype=np.float64
+        ).reshape(-1, 2)
+        for uid in dirty_uids:
+            pos = users_by_uid[uid].positions
+            hit = batch.influences_facilities(cand_xy, pos)
+            added_cover[uid] = {c.fid for c, h in zip(dataset.candidates, hit) if h}
+            hit = batch.influences_facilities(fac_xy, pos)
+            f_o[uid] = {f.fid for f, h in zip(dataset.facilities, hit) if h}
         for uid, covering in added_cover.items():
             for cid in covering:
                 omega_c[cid].add(uid)
     resolved = ResolvedInstance(
         table=InfluenceTable(omega_c, f_o),
-        evaluation=evaluator.stats,
+        evaluation=batch.stats,
         pruning=None,
         timings=timer.finish(),
     )
@@ -288,46 +267,35 @@ class Solver(ABC):
 def resolve_all_pairs(
     dataset: SpatialDataset,
     evaluator: InfluenceEvaluator,
-    batch_verify: bool = True,
 ) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
     """Brute-force resolution of every ``(facility, user)`` relationship.
 
-    Shared by the baseline and exact solvers.  With ``batch_verify`` the
-    probability evaluations run through the batched kernel (one vectorised
-    pass per abstract facility over the dataset's position arena) instead
-    of one scalar call per pair; decisions and ``evaluator.stats``
-    accounting are bit-identical either way.
+    Shared by the baseline and exact solvers.  ``evaluator`` names the
+    ``(PF, τ)`` configuration and early-stopping mode and receives the
+    counters; the decisions run through the batched kernel, one
+    vectorised pass per abstract facility over the dataset's position
+    arena, with the scalar evaluator's per-pair accounting.
 
     Returns:
         ``(omega_c, f_o)`` — candidate coverage sets and per-user
         competitor sets, keyed by id.
     """
-    omega_c: Dict[int, Set[int]] = {c.fid: set() for c in dataset.candidates}
     f_o: Dict[int, Set[int]] = {u.uid: set() for u in dataset.users}
-    if batch_verify:
-        arena = dataset.arena
-        batch = BatchInfluenceEvaluator(
-            evaluator.pf,
-            evaluator.tau,
-            early_stopping=evaluator.early_stopping,
-            stats=evaluator.stats,
-        )
-        for c in dataset.candidates:
-            hit = batch.influences_users(c.x, c.y, arena)
-            omega_c[c.fid] = set(arena.uids[hit].tolist())
-        for f in dataset.facilities:
-            hit = batch.influences_users(f.x, f.y, arena)
-            for uid in arena.uids[hit].tolist():
-                f_o[uid].add(f.fid)
-        return omega_c, f_o
-    for user in dataset.users:
-        pos = user.positions
-        for c in dataset.candidates:
-            if evaluator.influences(c.x, c.y, pos):
-                omega_c[c.fid].add(user.uid)
-        for f in dataset.facilities:
-            if evaluator.influences(f.x, f.y, pos):
-                f_o[user.uid].add(f.fid)
+    arena = dataset.arena
+    batch = BatchInfluenceEvaluator(
+        evaluator.pf,
+        evaluator.tau,
+        early_stopping=evaluator.early_stopping,
+        stats=evaluator.stats,
+    )
+    omega_c = {
+        c.fid: set(arena.uids[batch.influences_users(c.x, c.y, arena)].tolist())
+        for c in dataset.candidates
+    }
+    for f in dataset.facilities:
+        hit = batch.influences_users(f.x, f.y, arena)
+        for uid in arena.uids[hit].tolist():
+            f_o[uid].add(f.fid)
     return omega_c, f_o
 
 

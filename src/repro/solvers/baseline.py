@@ -28,21 +28,11 @@ from .selection import run_selection
 class BaselineGreedySolver(Solver):
     """Exhaustive relationship resolution + greedy selection.
 
-    Args:
-        batch_verify: Evaluate each facility against the whole population
-            through the batched kernel (default); ``False`` restores the
-            pair-at-a-time scalar loop for ablations.  Decisions and
-            counters are identical either way.
-        fast_select: Run the greedy phase through the vectorized CSR
-            selection kernel (identical selection); ``False`` restores
-            the scalar greedy.
+    Each facility is evaluated against the whole population through the
+    batched kernel; the greedy phase runs through the CSR kernel.
     """
 
     name = "baseline"
-
-    def __init__(self, batch_verify: bool = True, fast_select: bool = True):
-        self.batch_verify = batch_verify
-        self.fast_select = fast_select
 
     def solve(self, problem: MC2LSProblem) -> SolverResult:
         timer = PhaseTimer()
@@ -52,7 +42,6 @@ class BaselineGreedySolver(Solver):
                 resolved.table,
                 [c.fid for c in problem.dataset.candidates],
                 problem.k,
-                fast_select=self.fast_select,
                 capture=problem.capture,
             )
         return SolverResult(
@@ -87,9 +76,7 @@ class BaselineGreedySolver(Solver):
         # no-optimisation yardstick of the paper's complexity analysis.
         evaluator = InfluenceEvaluator(pf, tau, early_stopping=False)
         with timer.mark("influence"):
-            omega_c, f_o = resolve_all_pairs(
-                dataset, evaluator, batch_verify=self.batch_verify
-            )
+            omega_c, f_o = resolve_all_pairs(dataset, evaluator)
         return ResolvedInstance(
             table=InfluenceTable(omega_c, f_o), evaluation=evaluator.stats
         )

@@ -12,11 +12,10 @@ implementation returns whichever of the two is better.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..competition import EvenlySplitModel, InfluenceTable
 from ..exceptions import SolverError
 from .base import (
     MC2LSProblem,
@@ -36,13 +35,11 @@ class BudgetedGreedySolver(Solver):
         costs: ``candidate id -> opening cost`` (positive).
         budget: Total budget ``B``.
         base_solver: Relationship-resolution solver (defaults to IQT).
-        fast_select: Evaluate each round's gain/cost ratios for all
-            affordable candidates in one vectorized CSR pass, with the
-            round winner confirmed at exact (``fsum``) precision —
-            identical selection to the scalar ratio greedy; ``False``
-            restores the scalar loop.
 
-    The problem's ``k`` is ignored (the budget is the binding
+    Each round evaluates the gain/cost ratios of all affordable
+    candidates in one vectorized CSR pass and confirms the round winner
+    at exact (``fsum``) precision, so the selection is the scalar ratio
+    greedy's.  The problem's ``k`` is ignored (the budget is the binding
     constraint); it must still be a valid value for problem construction.
     """
 
@@ -53,7 +50,6 @@ class BudgetedGreedySolver(Solver):
         costs: Dict[int, float],
         budget: float,
         base_solver: Optional[Solver] = None,
-        fast_select: bool = True,
     ):
         if budget <= 0:
             raise SolverError(f"budget must be positive, got {budget}")
@@ -62,7 +58,6 @@ class BudgetedGreedySolver(Solver):
         self.costs = dict(costs)
         self.budget = budget
         self.base_solver = base_solver or IQTSolver()
-        self.fast_select = fast_select
 
     # ------------------------------------------------------------------
     def solve(self, problem: MC2LSProblem) -> SolverResult:
@@ -71,35 +66,22 @@ class BudgetedGreedySolver(Solver):
         with timer.mark("resolve"):
             base = self.base_solver.solve(problem)
         table = base.table
-        model = EvenlySplitModel()
         candidate_ids = sorted(c.fid for c in problem.dataset.candidates)
         missing = [cid for cid in candidate_ids if cid not in self.costs]
         if missing:
             raise SolverError(f"no cost given for candidates {missing[:5]}")
 
         with timer.mark("greedy"):
-            if self.fast_select:
-                cover = CoverageMatrix(table, candidate_ids, model=model)
-                ratio_sel, ratio_gains = self._ratio_greedy_fast(cover)
-                single = self._best_single_fast(cover)
-                # Objective reporting through the matrix's vectorized
-                # union — fsum over the identical covered-weight multiset,
-                # bit-equal to the scalar group_value it replaces.
-                ratio_value = cover.objective_of(ratio_sel)
-                single_value = (
-                    cover.objective_of([single]) if single is not None else None
-                )
-            else:
-                ratio_sel, ratio_gains = self._ratio_greedy(
-                    table, model, candidate_ids
-                )
-                single = self._best_single(table, model, candidate_ids)
-                ratio_value = model.group_value(table, ratio_sel)
-                single_value = (
-                    model.group_value(table, [single])
-                    if single is not None
-                    else None
-                )
+            cover = CoverageMatrix(table, candidate_ids)
+            ratio_sel, ratio_gains = self._ratio_greedy(cover)
+            single = self._best_single(cover)
+            # Objective reporting through the matrix's vectorized union —
+            # fsum over the covered-weight multiset, bit-equal to the
+            # scalar ``EvenlySplitModel.group_value``.
+            ratio_value = cover.objective_of(ratio_sel)
+            single_value = (
+                cover.objective_of([single]) if single is not None else None
+            )
             if single_value is not None and single_value > ratio_value:
                 selected: List[int] = [single]
                 gains = (single_value,)
@@ -121,44 +103,6 @@ class BudgetedGreedySolver(Solver):
 
     # ------------------------------------------------------------------
     def _ratio_greedy(
-        self,
-        table: InfluenceTable,
-        model: EvenlySplitModel,
-        candidate_ids: Sequence[int],
-    ) -> tuple[List[int], List[float]]:
-        selected: List[int] = []
-        gains: List[float] = []
-        covered: Set[int] = set()
-        spent = 0.0
-        remaining = [
-            cid for cid in candidate_ids if self.costs[cid] <= self.budget
-        ]
-        while remaining:
-            best_cid = None
-            best_ratio = -1.0
-            best_gain = 0.0
-            for cid in remaining:
-                gain = model.candidate_value(table, cid, excluded=covered)
-                ratio = gain / self.costs[cid]
-                if ratio > best_ratio:
-                    best_ratio = ratio
-                    best_gain = gain
-                    best_cid = cid
-            if best_cid is None or best_gain <= 0.0:
-                break
-            selected.append(best_cid)
-            gains.append(best_gain)
-            covered |= table.omega_c.get(best_cid, set())
-            spent += self.costs[best_cid]
-            remaining = [
-                cid
-                for cid in remaining
-                if cid != best_cid and spent + self.costs[cid] <= self.budget
-            ]
-        return selected, gains
-
-    # ------------------------------------------------------------------
-    def _ratio_greedy_fast(
         self, cover: CoverageMatrix
     ) -> tuple[List[int], List[float]]:
         """Vectorized ratio greedy, selection-identical to the scalar one.
@@ -203,7 +147,7 @@ class BudgetedGreedySolver(Solver):
             ]
         return selected, gains
 
-    def _best_single_fast(self, cover: CoverageMatrix) -> Optional[int]:
+    def _best_single(self, cover: CoverageMatrix) -> Optional[int]:
         costs = np.array(
             [self.costs[int(cid)] for cid in cover.candidate_ids],
             dtype=np.float64,
@@ -222,17 +166,6 @@ class BudgetedGreedySolver(Solver):
                 best_value = value
                 best = int(cover.candidate_ids[j])
         return best
-
-    def _best_single(
-        self,
-        table: InfluenceTable,
-        model: EvenlySplitModel,
-        candidate_ids: Sequence[int],
-    ) -> Optional[int]:
-        affordable = [cid for cid in candidate_ids if self.costs[cid] <= self.budget]
-        if not affordable:
-            return None
-        return max(affordable, key=lambda cid: (model.candidate_value(table, cid), -cid))
 
     def total_cost(self, selected: Sequence[int]) -> float:
         """Opening cost of a selection under this solver's cost map."""

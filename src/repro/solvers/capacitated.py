@@ -127,13 +127,13 @@ class CapacitatedGreedySolver(Solver):
         capacity: Maximum users one selected site can serve.
         base_solver: Relationship-resolution solver (defaults to IQT);
             only its influence table is used.
-        fast_select: Run the greedy lazily (CELF) with initial upper
-            bounds from the vectorized CSR coverage kernel — the
-            uncapacitated coverage gain bounds the capacitated marginal
-            (``f(S ∪ c) − f(S) ≤ f({c}) ≤ Σ_{o ∈ Ω_c} w_o``), and the
-            capacitated objective is submodular, so stale marginals are
-            valid bounds across rounds.  Identical selection; ``False``
-            restores the evaluate-everything scalar loop.
+
+    The greedy runs lazily (CELF) with initial upper bounds from the
+    vectorized CSR coverage kernel — the uncapacitated coverage gain
+    bounds the capacitated marginal (``f(S ∪ c) − f(S) ≤ f({c}) ≤
+    Σ_{o ∈ Ω_c} w_o``), and the capacitated objective is submodular, so
+    stale marginals are valid bounds across rounds.  The selection is
+    that of the evaluate-everything greedy.
     """
 
     name = "capacitated"
@@ -142,13 +142,11 @@ class CapacitatedGreedySolver(Solver):
         self,
         capacity: int,
         base_solver: Optional[Solver] = None,
-        fast_select: bool = True,
     ):
         if capacity < 1:
             raise SolverError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.base_solver = base_solver or IQTSolver()
-        self.fast_select = fast_select
 
     def solve(self, problem: MC2LSProblem) -> SolverResult:
         require_default_capture(problem, self.name)
@@ -164,14 +162,9 @@ class CapacitatedGreedySolver(Solver):
         candidate_ids = sorted(c.fid for c in problem.dataset.candidates)
 
         with timer.mark("greedy"):
-            if self.fast_select:
-                selected, gains = self._lazy_greedy(
-                    table, weight, candidate_ids, problem.k
-                )
-            else:
-                selected, gains = self._eager_greedy(
-                    table, weight, candidate_ids, problem.k
-                )
+            selected, gains = self._lazy_greedy(
+                table, weight, candidate_ids, problem.k
+            )
             final_value, assignment = _assignment_value(
                 table, selected, self.capacity, weight
             )
@@ -187,38 +180,6 @@ class CapacitatedGreedySolver(Solver):
         )
 
     # ------------------------------------------------------------------
-    def _eager_greedy(
-        self,
-        table: InfluenceTable,
-        weight: Dict[int, float],
-        candidate_ids: Sequence[int],
-        k: int,
-    ) -> Tuple[List[int], List[float]]:
-        """Evaluate every remaining candidate's marginal each round."""
-        selected: List[int] = []
-        gains: List[float] = []
-        current_value = 0.0
-        remaining = list(candidate_ids)
-        for _ in range(k):
-            best_cid = None
-            best_value = current_value
-            best_gain = -1.0
-            for cid in remaining:
-                value, _ = _assignment_value(
-                    table, selected + [cid], self.capacity, weight
-                )
-                gain = value - current_value
-                if gain > best_gain:
-                    best_gain = gain
-                    best_value = value
-                    best_cid = cid
-            assert best_cid is not None
-            gains.append(best_gain)
-            current_value = best_value
-            selected.append(best_cid)
-            remaining.remove(best_cid)
-        return selected, gains
-
     def _lazy_greedy(
         self,
         table: InfluenceTable,

@@ -9,7 +9,6 @@ combinations rather than silently burning hours.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb
 from typing import List, Sequence, Tuple
 
@@ -34,28 +33,20 @@ class ExactSolver(Solver):
     Args:
         max_combinations: Safety cap on ``C(n, k)``; exceeding it raises
             :class:`SolverError` instead of running forever.
-        batch_verify: Resolve the influence table through the batched
-            kernel (default) or the pair-at-a-time scalar loop.
-        fast_select: Enumerate with vectorised coverage masks — prefix
-            unions shared across the lexicographic recursion, one
-            boolean OR plus one dot product per combination — instead of
-            Python set unions; screened values only ever *shortlist*
-            combinations, and every shortlisted one is re-scored with
-            the exact ``cinf_group`` in lexicographic order, so the
-            returned group is identical to the scalar enumeration.
+
+    The enumeration uses vectorised coverage masks — prefix unions
+    shared across the lexicographic recursion, one boolean OR plus one
+    dot product per combination — instead of Python set unions;
+    screened values only ever *shortlist* combinations, and every
+    shortlisted one is re-scored with the exact ``cinf_group`` in
+    lexicographic order, so the returned group is identical to a plain
+    scan of ``cinf_group`` over all combinations.
     """
 
     name = "exact"
 
-    def __init__(
-        self,
-        max_combinations: int = 2_000_000,
-        batch_verify: bool = True,
-        fast_select: bool = True,
-    ):
+    def __init__(self, max_combinations: int = 2_000_000):
         self.max_combinations = max_combinations
-        self.batch_verify = batch_verify
-        self.fast_select = fast_select
 
     def solve(self, problem: MC2LSProblem) -> SolverResult:
         require_default_capture(problem, self.name)
@@ -72,22 +63,13 @@ class ExactSolver(Solver):
         evaluator = InfluenceEvaluator(problem.pf, problem.tau, early_stopping=False)
 
         with timer.mark("influence"):
-            omega_c, f_o = resolve_all_pairs(
-                dataset, evaluator, batch_verify=self.batch_verify
-            )
+            omega_c, f_o = resolve_all_pairs(dataset, evaluator)
         table = InfluenceTable(omega_c, f_o)
 
         with timer.mark("enumeration"):
             cids = sorted(c.fid for c in dataset.candidates)
             table.validate_against(set(cids))
-            if self.fast_select:
-                best_group, best_value = self._enumerate_fast(
-                    table, cids, problem.k
-                )
-            else:
-                best_group, best_value = self._enumerate_scalar(
-                    table, cids, problem.k
-                )
+            best_group, best_value = self._enumerate(table, cids, problem.k)
 
         return SolverResult(
             selected=best_group,
@@ -99,31 +81,18 @@ class ExactSolver(Solver):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _enumerate_scalar(
+    def _enumerate(
         table: InfluenceTable, cids: Sequence[int], k: int
     ) -> Tuple[Tuple[int, ...], float]:
-        best_group: Tuple[int, ...] = ()
-        best_value = -1.0
-        for group in combinations(cids, k):
-            value = cinf_group(table, group)
-            if value > best_value:
-                best_value = value
-                best_group = group
-        return best_group, best_value
-
-    @staticmethod
-    def _enumerate_fast(
-        table: InfluenceTable, cids: Sequence[int], k: int
-    ) -> Tuple[Tuple[int, ...], float]:
-        """Two-pass vectorised enumeration, identical to the scalar scan.
+        """Two-pass vectorised enumeration, identical to a scalar scan.
 
         Pass 1 finds the maximum *screened* value (dot products carry a
         bounded rounding error); pass 2 re-walks the combinations and
         scores every one whose screened value reaches the maximum minus
         that bound with the exact ``cinf_group``, applying the scalar
         loop's first-strictly-greater rule in the same lexicographic
-        order.  The winner therefore matches the scalar enumeration
-        exactly, ties included.
+        order.  The winner therefore matches a scalar scan of every
+        combination exactly, ties included.
         """
         from .coverage import CoverageMatrix
 

@@ -41,7 +41,6 @@ from ..entities import AbstractFacility, SpatialDataset
 from ..geo import Point
 from ..influence import (
     BatchInfluenceEvaluator,
-    InfluenceEvaluator,
     PositionArena,
     ProbabilityFunction,
     paper_default_pf,
@@ -79,14 +78,6 @@ class IQTSolver(Solver):
             (Algorithm 2 line 14); on by default as in the paper.
         exact_rounded: Tighten the NIR rule from the rounded square's MBR
             to the exact rounded square (ablation knob; paper uses MBR).
-        batch_verify: Run phase 3 through the batched kernel — one
-            vectorised pass per facility over its surviving users instead
-            of one scalar call per pair (bit-identical decisions and
-            counters); ``False`` restores the scalar PINOCCHIO loop for
-            the ablation benchmarks.
-        fast_select: Run phase 4 through the vectorized CSR selection
-            kernel (identical selection and gains); ``False`` restores
-            the scalar greedy for the ablation benchmarks.
     """
 
     def __init__(
@@ -95,15 +86,11 @@ class IQTSolver(Solver):
         variant: IQTVariant = IQTVariant.IQT,
         early_stopping: bool = True,
         exact_rounded: bool = False,
-        batch_verify: bool = True,
-        fast_select: bool = True,
     ):
         self.d_hat = d_hat
         self.variant = variant
         self.early_stopping = early_stopping
         self.exact_rounded = exact_rounded
-        self.batch_verify = batch_verify
-        self.fast_select = fast_select
         self.name = variant.value
 
     # ------------------------------------------------------------------
@@ -115,7 +102,6 @@ class IQTSolver(Solver):
                 resolved.table,
                 [c.fid for c in problem.dataset.candidates],
                 problem.k,
-                fast_select=self.fast_select,
                 capture=problem.capture,
             )
         return SolverResult(
@@ -147,7 +133,7 @@ class IQTSolver(Solver):
         tau: float,
         pf: ProbabilityFunction,
     ) -> ResolvedInstance:
-        evaluator = InfluenceEvaluator(pf, tau, early_stopping=self.early_stopping)
+        batch = BatchInfluenceEvaluator(pf, tau, early_stopping=self.early_stopping)
         arena = dataset.arena
         facilities = dataset.abstract_facilities
         n_cand = len(dataset.candidates)
@@ -203,23 +189,8 @@ class IQTSolver(Solver):
         # traversal cost nothing and are kept for every user.  A
         # facility's confirmed and to-verify rows are disjoint, so the
         # to-verify rows are exactly the pairs left to decide.
-        if self.batch_verify:
-            batch = BatchInfluenceEvaluator(
-                pf, tau, early_stopping=self.early_stopping, stats=evaluator.stats
-            )
-
-            def verify(v: AbstractFacility, rows: np.ndarray) -> np.ndarray:
-                return rows[batch.influences_users(v.x, v.y, arena, rows)]
-
-        else:
-            users = dataset.users
-
-            def verify(v: AbstractFacility, rows: np.ndarray) -> np.ndarray:
-                hit = [
-                    evaluator.influences(v.x, v.y, users[row].positions)
-                    for row in rows.tolist()
-                ]
-                return rows[np.array(hit, dtype=bool)]
+        def verify(v: AbstractFacility, rows: np.ndarray) -> np.ndarray:
+            return rows[batch.influences_users(v.x, v.y, arena, rows)]
 
         uids = arena.uids
         omega_c: Dict[int, Set[int]] = {}
@@ -249,7 +220,7 @@ class IQTSolver(Solver):
 
         return ResolvedInstance(
             table=InfluenceTable(omega_c, f_o),
-            evaluation=evaluator.stats,
+            evaluation=batch.stats,
             pruning=pruning,
         )
 

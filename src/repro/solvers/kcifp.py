@@ -35,16 +35,12 @@ class AdaptedKCIFPSolver(Solver):
             probability (Definition 2), so the default is ``False``; pass
             ``True`` to give the baseline competitor the PINOCCHIO early
             stopping as well (an ablation knob).
-        fast_select: Run the greedy phase through the vectorized CSR
-            selection kernel (identical selection); ``False`` restores
-            the scalar greedy.
     """
 
     name = "k-cifp"
 
-    def __init__(self, early_stopping: bool = False, fast_select: bool = True):
+    def __init__(self, early_stopping: bool = False):
         self.early_stopping = early_stopping
-        self.fast_select = fast_select
 
     def solve(self, problem: MC2LSProblem) -> SolverResult:
         timer = PhaseTimer()
@@ -54,7 +50,6 @@ class AdaptedKCIFPSolver(Solver):
                 resolved.table,
                 [c.fid for c in problem.dataset.candidates],
                 problem.k,
-                fast_select=self.fast_select,
                 capture=problem.capture,
             )
         return SolverResult(

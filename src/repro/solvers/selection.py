@@ -2,15 +2,19 @@
 
 This is the phase shared by every solver (Algorithm 1, lines 16–24): pick
 the candidate with the maximum competitive influence, remove its users,
-repeat ``k`` times.  Two implementations:
+repeat ``k`` times.
 
-* :func:`greedy_select` — the paper's recompute-every-round greedy.
+* :func:`run_selection` — the solvers' one production path: the
+  vectorized CSR kernel (:mod:`repro.solvers.coverage`), or the capture
+  loop (:func:`repro.capture.capture_select`) for set-aware capture
+  models.
+* :func:`greedy_select` — the paper's recompute-every-round greedy, kept
+  for the ablation benchmarks and as the differential suites' reference.
 * :func:`lazy_greedy_select` — CELF-style lazy evaluation exploiting
   submodularity; returns the identical selection with far fewer candidate
   evaluations on large candidate sets (ablation A2).
-* :func:`run_selection` — dispatch between the scalar greedy and the
-  vectorized CSR kernel (:mod:`repro.solvers.coverage`) behind the
-  solvers' ``fast_select`` knob; all paths select identically.
+
+All three select identically.
 
 Ties are broken toward the smallest candidate id so all solvers produce
 exactly the same sequence, which the paper's Fig. 14 relies on ("all the
@@ -143,30 +147,24 @@ def run_selection(
     candidate_ids: Sequence[int],
     k: int,
     model: CompetitionModel | None = None,
-    fast_select: bool = True,
     cancel_check: CancelCheck = None,
     capture: "CaptureModel | None" = None,
 ) -> GreedyOutcome:
-    """Run the greedy phase through the CSR kernel or the scalar loop.
+    """Run the greedy phase through the CSR kernel.
 
-    The solvers' shared dispatch point for the ``fast_select`` knob: when
-    on (the default), selection runs through
-    :class:`~repro.solvers.coverage.CoverageMatrix`; off restores the
-    scalar recompute-every-round greedy for ablations.  Both paths
-    return the identical ``selected`` tuple and gains.  ``cancel_check``
-    (when given) runs at the top of every greedy round on either path;
-    the serving engine passes its deadline/cancellation probe here.
+    The solvers' shared selection entry point: selection runs through
+    :class:`~repro.solvers.coverage.CoverageMatrix` and returns the
+    selection and gains of :func:`greedy_select`.  ``cancel_check``
+    (when given) runs at the top of every greedy round; the serving
+    engine passes its deadline/cancellation probe here.
 
     ``capture`` selects the customer-choice capture model
     (:mod:`repro.capture`).  Set-independent models (evenly-split, Huff)
-    reduce to a per-user weight model and keep both legacy kernels
-    unchanged — passing ``capture=evenly_split_capture()`` is
-    bit-identical to passing nothing.  Set-aware models (MNL,
-    fixed-worlds) dispatch to the CELF loop of
-    :func:`repro.capture.capture_select` instead; ``fast_select`` then
-    chooses between the vectorized oracle state and the scalar
-    reference oracle.  ``capture`` and ``model`` are mutually
-    exclusive ways of naming the weights.
+    reduce to a per-user weight model for the CSR kernel — passing
+    ``capture=evenly_split_capture()`` is bit-identical to passing
+    nothing.  Set-aware models (MNL, fixed-worlds) dispatch to the CELF
+    loop of :func:`repro.capture.capture_select` instead.  ``capture``
+    and ``model`` are mutually exclusive ways of naming the weights.
     """
     if capture is not None:
         if model is not None:
@@ -180,19 +178,10 @@ def run_selection(
             from ..capture.select import capture_select
 
             return capture_select(
-                table,
-                candidate_ids,
-                k,
-                capture,
-                fast=fast_select,
-                cancel_check=cancel_check,
+                table, candidate_ids, k, capture, cancel_check=cancel_check
             )
-    if fast_select:
-        from .coverage import coverage_select
+    from .coverage import coverage_select
 
-        return coverage_select(
-            table, candidate_ids, k, model=model, cancel_check=cancel_check
-        )
-    return greedy_select(
+    return coverage_select(
         table, candidate_ids, k, model=model, cancel_check=cancel_check
     )

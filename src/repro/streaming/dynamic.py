@@ -40,7 +40,6 @@ from ..entities import AbstractFacility, MovingUser, SpatialDataset
 from ..exceptions import SolverError
 from ..influence import (
     BatchInfluenceEvaluator,
-    InfluenceEvaluator,
     ProbabilityFunction,
     paper_default_pf,
 )
@@ -103,12 +102,10 @@ class StreamingMC2LS:
         pf: Distance-decay probability function (paper default when
             ``None``).
         early_stopping: Verification strategy for interstitial pairs.
-        batch_verify: Re-verify each arriving user against all its
-            interstitial facilities in one batched kernel call (default);
-            ``False`` keeps the facility-at-a-time scalar loop.
-        fast_select: Run selection queries through the vectorized CSR
-            kernel (identical selection); ``False`` restores the scalar
-            greedy.
+
+    Each arriving user is verified against all its interstitial
+    facilities in one batched kernel call; selection queries run through
+    the CSR kernel.
     """
 
     def __init__(
@@ -119,8 +116,6 @@ class StreamingMC2LS:
         tau: float = 0.7,
         pf: Optional[ProbabilityFunction] = None,
         early_stopping: bool = True,
-        batch_verify: bool = True,
-        fast_select: bool = True,
     ):
         if k < 1 or k > len(candidates):
             raise SolverError(f"k={k} infeasible for {len(candidates)} candidates")
@@ -129,13 +124,8 @@ class StreamingMC2LS:
         self.pf = pf or paper_default_pf()
         self.facilities = tuple(facilities)
         self.candidates = tuple(candidates)
-        self.batch_verify = batch_verify
-        self.fast_select = fast_select
-        self._evaluator = InfluenceEvaluator(
-            self.pf, tau, early_stopping=early_stopping
-        )
         self._batch = BatchInfluenceEvaluator(
-            self.pf, tau, early_stopping=early_stopping, stats=self._evaluator.stats
+            self.pf, tau, early_stopping=early_stopping
         )
         self._pruner_c = PinocchioPruner(self.candidates, tau, self.pf)
         self._pruner_f = PinocchioPruner(self.facilities, tau, self.pf)
@@ -192,16 +182,12 @@ class StreamingMC2LS:
     def _verify_interstitial(
         self, facilities: Sequence[AbstractFacility], user: MovingUser
     ) -> Set[int]:
-        """Ids of ``facilities`` that influence ``user`` (batch or scalar)."""
-        if self.batch_verify and facilities:
-            xy = np.array([[v.x, v.y] for v in facilities], dtype=np.float64)
-            hit = self._batch.influences_facilities(xy, user.positions)
-            return {v.fid for v, h in zip(facilities, hit) if h}
-        return {
-            v.fid
-            for v in facilities
-            if self._evaluator.influences(v.x, v.y, user.positions)
-        }
+        """Ids of ``facilities`` that influence ``user``."""
+        if not facilities:
+            return set()
+        xy = np.array([[v.x, v.y] for v in facilities], dtype=np.float64)
+        hit = self._batch.influences_facilities(xy, user.positions)
+        return {v.fid for v, h in zip(facilities, hit) if h}
 
     def add_user(self, user: MovingUser) -> None:
         """Process an arrival; the user is classified against all facilities."""
@@ -297,10 +283,7 @@ class StreamingMC2LS:
     def current_selection(self) -> GreedyOutcome:
         """Greedy ``k``-selection over the live population."""
         return run_selection(
-            self.table(),
-            [c.fid for c in self.candidates],
-            self.k,
-            fast_select=self.fast_select,
+            self.table(), [c.fid for c in self.candidates], self.k
         )
 
     def current_dataset(self) -> SpatialDataset:

@@ -1,7 +1,7 @@
 """Workload record/replay and cost-model-driven knob autotuning.
 
-The serving stack has a dozen performance knobs — kernel toggles, cache
-capacities, scheduler/shard workers, capture parameters — and the right
+The serving stack has several performance knobs — cache capacities,
+scheduler/shard workers, capture parameters — and the right
 setting depends on the *workload*: a bursty what-if sweep wants a
 prepared cache wider than its τ working set, a cold-start storm gains
 nothing from any cache, and choice-model knobs trade accuracy against

@@ -1,4 +1,4 @@
-"""The tunable serving configuration: engine knobs + query overrides.
+"""The tunable serving configuration: engine knobs + a query override.
 
 An :class:`EngineConfig` is one point in the knob space the tuner
 searches.  It splits into two kinds of knobs:
@@ -6,15 +6,14 @@ searches.  It splits into two kinds of knobs:
 * **engine knobs** — constructor arguments of
   :class:`~repro.service.SelectionEngine` (cache capacities, scheduler
   workers, execution mode, shard workers, incremental republish);
-* **query overrides** — kernel toggles (``batch_verify`` /
-  ``fast_select``) and the fixed-worlds world count, applied over each
-  replayed query's recorded values when set (``None`` keeps the
+* **query override** — the fixed-worlds world count, applied over each
+  replayed query's recorded value when set (``None`` keeps the
   recording).
 
-Kernel toggles never change results (the repo's bit-identity
-invariant); the ``worlds`` override *does* change the objective the
-fixed-worlds capture model optimises — :attr:`EngineConfig.exact` is
-``False`` in that case and the tuner reports it.
+Engine knobs never change results (the repo's bit-identity invariant);
+the ``worlds`` override *does* change the objective the fixed-worlds
+capture model optimises — :attr:`EngineConfig.exact` is ``False`` in
+that case and the tuner reports it.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ class EngineConfig:
     incremental: bool = True
     execution: str = "threaded"
     shard_workers: int = 0
-    batch_verify: Optional[bool] = None
-    fast_select: Optional[bool] = None
     worlds: Optional[int] = None
 
     @property
@@ -64,25 +61,23 @@ class EngineConfig:
         return SelectionEngine(snapshot, **self.engine_kwargs())
 
     def apply(self, query: SelectionQuery) -> SelectionQuery:
-        """The query with this config's overrides applied (others kept)."""
-        changes: Dict[str, Any] = {}
-        if self.batch_verify is not None:
-            changes["batch_verify"] = self.batch_verify
-        if self.fast_select is not None:
-            changes["fast_select"] = self.fast_select
+        """The query with this config's world-count override applied."""
         if (
-            self.worlds is not None
-            and query.capture is not None
-            and query.capture.model == "fixed-worlds"
-            and query.capture.worlds != self.worlds
+            self.worlds is None
+            or query.capture is None
+            or query.capture.model != "fixed-worlds"
+            or query.capture.worlds == self.worlds
         ):
-            changes["capture"] = CaptureSpec(
+            return query
+        return replace(
+            query,
+            capture=CaptureSpec(
                 model="fixed-worlds",
                 mnl_beta=query.capture.mnl_beta,
                 worlds=self.worlds,
                 world_seed=query.capture.world_seed,
-            )
-        return replace(query, **changes) if changes else query
+            ),
+        )
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
@@ -95,15 +90,17 @@ class EngineConfig:
             "incremental": self.incremental,
             "execution": self.execution,
             "shard_workers": self.shard_workers,
-            "batch_verify": self.batch_verify,
-            "fast_select": self.fast_select,
             "worlds": self.worlds,
             "exact": self.exact,
         }
 
     @classmethod
     def from_dict(cls, spec: Dict[str, Any]) -> "EngineConfig":
-        """Rebuild a config serialised by :meth:`as_dict`."""
+        """Rebuild a config serialised by :meth:`as_dict`.
+
+        Keys this version no longer reads, such as the retired kernel
+        toggles of older ``tune`` outputs, are ignored.
+        """
         fields = {
             k: spec[k]
             for k in (
@@ -114,8 +111,6 @@ class EngineConfig:
                 "incremental",
                 "execution",
                 "shard_workers",
-                "batch_verify",
-                "fast_select",
                 "worlds",
             )
             if k in spec

@@ -3,12 +3,12 @@
 The model predicts the three costs a served query can pay, from the
 :func:`~repro.data.cost_features` of the population:
 
-* **resolve** — building the influence table: affine in the
-  position-candidate verification pair count (``verify_pairs``), with a
-  separate fit per ``batch_verify`` kernel;
-* **select** — one greedy ``k``-selection: affine in ``k × n_users``
-  (the CELF-screened segmented-sum work bound), per ``fast_select``
-  kernel;
+* **resolve** — building the influence table with the batched
+  verifier: affine in the position-candidate verification pair count
+  (``verify_pairs``);
+* **select** — one greedy ``k``-selection through the CSR kernel:
+  affine in ``k × n_users`` (the CELF-screened segmented-sum work
+  bound);
 * **hit** — returning a cached result: a constant.
 
 Calibration (:meth:`CostModel.calibrate`) times those operations on a
@@ -36,7 +36,7 @@ from ..data import california_like, cost_features
 from ..exceptions import TuningError
 from ..influence import paper_default_pf
 from ..service import DatasetSnapshot, PreparedInstance
-from ..solvers import IQTSolver, IQTVariant
+from ..solvers import IQTSolver
 from .config import EngineConfig
 from .trace import WorkloadTrace
 
@@ -89,8 +89,8 @@ class PredictedCost:
 class CostModel:
     """Per-machine coefficients for resolve / select / hit costs.
 
-    ``resolve_coeff`` / ``select_coeff`` map the kernel knob (``True``
-    for the vectorized kernel) to ``(c0, c1)`` of the affine fit.
+    ``resolve_coeff`` / ``select_coeff`` are the ``(c0, c1)`` of the
+    affine fit for the batched verifier and the CSR selector.
     ``capture_select_coeff`` maps a set-aware capture model name
     (``"mnl"``, ``"fixed-worlds"``) to its own ``(c0, c1)`` — those
     selections run the CELF loop (:func:`repro.capture.capture_select`)
@@ -102,8 +102,8 @@ class CostModel:
     linearly to other world counts.
     """
 
-    resolve_coeff: Dict[bool, Tuple[float, float]]
-    select_coeff: Dict[bool, Tuple[float, float]]
+    resolve_coeff: Tuple[float, float]
+    select_coeff: Tuple[float, float]
     hit_seconds: float
     capture_select_coeff: Dict[str, Tuple[float, float]] = field(
         default_factory=dict
@@ -111,17 +111,14 @@ class CostModel:
     calibrated_worlds: int = 8
 
     # ------------------------------------------------------------------
-    def resolve_seconds(
-        self, features: Dict[str, float], batch_verify: bool = True
-    ) -> float:
-        c0, c1 = self.resolve_coeff[bool(batch_verify)]
+    def resolve_seconds(self, features: Dict[str, float]) -> float:
+        c0, c1 = self.resolve_coeff
         return c0 + c1 * features["verify_pairs"]
 
     def select_seconds(
         self,
         features: Dict[str, float],
         k: int,
-        fast_select: bool = True,
         worlds_factor: float = 1.0,
         capture_model: Optional[str] = None,
     ) -> float:
@@ -129,12 +126,12 @@ class CostModel:
 
         Set-aware capture models with a calibrated coefficient use their
         own CELF fit; everything else (and models from old
-        serialisations) uses the CSR-kernel fit for ``fast_select``.
+        serialisations) uses the CSR-kernel fit.
         """
         if capture_model is not None and capture_model in self.capture_select_coeff:
             c0, c1 = self.capture_select_coeff[capture_model]
         else:
-            c0, c1 = self.select_coeff[bool(fast_select)]
+            c0, c1 = self.select_coeff
         return (c0 + c1 * k * features["n_users"]) * max(worlds_factor, 0.0)
 
     # ------------------------------------------------------------------
@@ -183,16 +180,6 @@ class CostModel:
                 continue  # cancelled/expired queries never reach the solver
             queries += 1
             k = int(spec.get("k", 1))
-            batch_verify = (
-                config.batch_verify
-                if config.batch_verify is not None
-                else bool(spec.get("batch_verify", True))
-            )
-            fast_select = (
-                config.fast_select
-                if config.fast_select is not None
-                else bool(spec.get("fast_select", True))
-            )
             capture = spec.get("capture") or {}
             capture_model = capture.get("model", "evenly-split")
             worlds_factor = 1.0
@@ -225,14 +212,13 @@ class CostModel:
                 total += self.hit_seconds
                 continue
             cost = self.select_seconds(
-                features, k, fast_select,
-                worlds_factor=worlds_factor, capture_model=capture_model,
+                features, k, worlds_factor=worlds_factor, capture_model=capture_model
             )
             if use_cache and base in prepared_lru:
                 prepared_lru.move_to_end(base)
                 prepared_hits += 1
             else:
-                cost += self.resolve_seconds(features, batch_verify)
+                cost += self.resolve_seconds(features)
                 resolves += 1
                 if use_cache:
                     prepared_lru[base] = None
@@ -253,14 +239,10 @@ class CostModel:
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
-        """JSON-portable coefficients (knob keys become strings)."""
+        """JSON-portable coefficients."""
         return {
-            "resolve_coeff": {
-                str(knob).lower(): list(c) for knob, c in self.resolve_coeff.items()
-            },
-            "select_coeff": {
-                str(knob).lower(): list(c) for knob, c in self.select_coeff.items()
-            },
+            "resolve_coeff": list(self.resolve_coeff),
+            "select_coeff": list(self.select_coeff),
             "hit_seconds": self.hit_seconds,
             "capture_select_coeff": {
                 model: list(c)
@@ -271,15 +253,21 @@ class CostModel:
 
     @classmethod
     def from_dict(cls, spec: Dict[str, Any]) -> "CostModel":
-        """Rebuild from :meth:`as_dict` output (old dumps lack the
-        capture coefficients — they load with an empty mapping and fall
-        back to the kernel fit)."""
-        def knobbed(d: Dict[str, Any]) -> Dict[bool, Tuple[float, float]]:
-            return {k == "true": (float(v[0]), float(v[1])) for k, v in d.items()}
+        """Rebuild from :meth:`as_dict` output.
+
+        Old dumps load too: those lacking the capture coefficients get
+        an empty mapping (and fall back to the kernel fit), and those
+        fitted per kernel toggle (``{"true": [...], "false": [...]}``)
+        keep the ``"true"`` fit, the kernel the engine runs.
+        """
+        def coeff(value: Any) -> Tuple[float, float]:
+            if isinstance(value, dict):
+                value = value["true"]
+            return float(value[0]), float(value[1])
 
         return cls(
-            resolve_coeff=knobbed(spec["resolve_coeff"]),
-            select_coeff=knobbed(spec["select_coeff"]),
+            resolve_coeff=coeff(spec["resolve_coeff"]),
+            select_coeff=coeff(spec["select_coeff"]),
             hit_seconds=float(spec["hit_seconds"]),
             capture_select_coeff={
                 model: (float(c[0]), float(c[1]))
@@ -302,8 +290,7 @@ class CostModel:
         """Fit the machine-local coefficients from a short measured run.
 
         ``scales`` is a ladder of ``(n_users, n_candidates)`` synthetic
-        populations; each is resolved under both verification kernels
-        and selected under both greedy kernels, best-of-``repeats``
+        populations; each is resolved and selected, best-of-``repeats``
         timed, and the affine coefficients least-squares fitted.  The
         set-aware capture models (MNL and fixed-worlds at
         ``calibrate_worlds`` worlds) get their own CELF-path select
@@ -314,12 +301,8 @@ class CostModel:
         from ..capture import CaptureSpec, capture_select
 
         pf = paper_default_pf()
-        resolve_samples: Dict[bool, Tuple[list, list]] = {
-            True: ([], []), False: ([], [])
-        }
-        select_samples: Dict[bool, Tuple[list, list]] = {
-            True: ([], []), False: ([], [])
-        }
+        resolve_samples: Tuple[list, list] = ([], [])
+        select_samples: Tuple[list, list] = ([], [])
         capture_specs = {
             "mnl": CaptureSpec(model="mnl", mnl_beta=2.0),
             "fixed-worlds": CaptureSpec(
@@ -339,29 +322,18 @@ class CostModel:
                 seed=seed,
             )
             features = cost_features(dataset)
-            for batch_verify in (True, False):
-                best = min(
-                    _timed(
-                        lambda: IQTSolver(
-                            variant=IQTVariant.IQT, batch_verify=batch_verify
-                        ).resolve(dataset, tau, pf)
-                    )
-                    for _ in range(repeats)
-                )
-                xs, ys = resolve_samples[batch_verify]
-                xs.append(features["verify_pairs"])
-                ys.append(best)
+            best = min(
+                _timed(lambda: IQTSolver().resolve(dataset, tau, pf))
+                for _ in range(repeats)
+            )
+            resolve_samples[0].append(features["verify_pairs"])
+            resolve_samples[1].append(best)
             snapshot = DatasetSnapshot(dataset)
             prepared = PreparedInstance(snapshot, IQTSolver(), tau, pf)
             prepared.select(k)  # build the CSR matrix outside the timing
-            for fast_select in (True, False):
-                best = min(
-                    _timed(lambda: prepared.select(k, fast_select=fast_select))
-                    for _ in range(repeats)
-                )
-                xs, ys = select_samples[fast_select]
-                xs.append(k * features["n_users"])
-                ys.append(best)
+            best = min(_timed(lambda: prepared.select(k)) for _ in range(repeats))
+            select_samples[0].append(k * features["n_users"])
+            select_samples[1].append(best)
             resolved = IQTSolver().resolve(dataset, tau, pf)
             cids = [c.fid for c in dataset.candidates]
             for name, cspec in capture_specs.items():
@@ -379,14 +351,8 @@ class CostModel:
                 ys.append(best)
             hit_times.append(_hit_seconds(dataset, tau, k))
         return cls(
-            resolve_coeff={
-                knob: _fit_affine(xs, ys)
-                for knob, (xs, ys) in resolve_samples.items()
-            },
-            select_coeff={
-                knob: _fit_affine(xs, ys)
-                for knob, (xs, ys) in select_samples.items()
-            },
+            resolve_coeff=_fit_affine(*resolve_samples),
+            select_coeff=_fit_affine(*select_samples),
             hit_seconds=float(np.median(hit_times)),
             capture_select_coeff={
                 name: _fit_affine(xs, ys)

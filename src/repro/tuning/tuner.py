@@ -4,8 +4,7 @@
 recommended :class:`~repro.tuning.EngineConfig` in two stages:
 
 1. **Screening** — every candidate in the knob grid (cache capacities,
-   scheduler/shard workers, kernel toggles, optionally the fixed-worlds
-   world count) is scored by
+   scheduler/shard workers, optionally the fixed-worlds world count) is scored by
    :meth:`~repro.tuning.CostModel.predict_trace`, which simulates the
    engine's caches over the trace and prices each query analytically.
    Thousands of configs cost milliseconds here.  Ties break toward the
@@ -33,15 +32,11 @@ from .config import EngineConfig
 from .cost_model import CostModel, PredictedCost
 from .trace import ReplayReport, TraceReplayer, WorkloadTrace
 
-#: Default knob grid.  ``None`` for a kernel toggle means "keep each
-#: query's recorded knob"; the grid also tries forcing both kernels on
-#: and the scalar ablations (the cost model prices all four).
+#: Default knob grid.
 DEFAULT_SEARCH_SPACE: Dict[str, Tuple[Any, ...]] = {
     "prepared_cache_size": (4, 8, 16, 24, 32, 64),
     "result_cache_size": (64, 256, 1024, 4096),
     "max_workers": (1, 2, 4),
-    "batch_verify": (None, True, False),
-    "fast_select": (None, True, False),
 }
 
 

@@ -1,9 +1,11 @@
 """Smoke test: the batch-verification microbenchmark must run and record.
 
 Invokes ``benchmarks/bench_micro_core_ops.py --smoke`` the way a user
-would (as a subprocess) and asserts the ``BENCH_batch_verify.json``
-trajectory point lands at the repo root with the bit-identity checks
-green and the speedup above the acceptance floor.
+would (as a subprocess) and asserts the trajectory point has the
+bit-identity checks green and the speedup above the acceptance floor.
+The smoke run writes to a temporary path so the committed full-scale
+``BENCH_batch_verify.json`` at the repo root is not overwritten by test
+runs.
 """
 
 import json
@@ -15,8 +17,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_smoke_records_trajectory_point():
-    out_path = REPO_ROOT / "BENCH_batch_verify.json"
+def test_smoke_records_trajectory_point(tmp_path):
+    out_path = tmp_path / "BENCH_batch_verify.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
@@ -24,6 +26,8 @@ def test_smoke_records_trajectory_point():
             sys.executable,
             str(REPO_ROOT / "benchmarks" / "bench_micro_core_ops.py"),
             "--smoke",
+            "--out",
+            str(out_path),
         ],
         capture_output=True,
         text=True,

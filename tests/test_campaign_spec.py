@@ -89,7 +89,6 @@ class TestKeys:
 
     @pytest.mark.parametrize("override", [
         {"tau": 0.6}, {"k": 6}, {"repeats": 4}, {"solver": "iqt-c"},
-        {"batch_verify": False}, {"fast_select": False},
     ])
     def test_every_run_param_is_key_relevant(self, override):
         assert _point().key(FAKE_HASH) != _point(**override).key(FAKE_HASH)
@@ -219,6 +218,15 @@ class TestValidation:
                 "name": "s",
                 "grids": [{"name": "g", "datasets": [{"kind": "C"}],
                            "solver": "iqt"}],
+            })
+
+    @pytest.mark.parametrize("field", ["batch_verify", "fast_select"])
+    def test_removed_kernel_fields_rejected(self, field):
+        with pytest.raises(CampaignError, match=field):
+            CampaignSpec.from_dict({
+                "name": "s",
+                "grids": [{"name": "g", "datasets": [{"kind": "C"}],
+                           field: False}],
             })
 
     def test_unknown_solver(self):

@@ -17,6 +17,7 @@ from repro.exceptions import CaptureError
 from repro.influence import InfluenceEvaluator
 from repro.solvers.base import resolve_all_pairs
 from tests.conftest import build_instance
+from tests.oracles import scalar_best_response
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +80,9 @@ class TestBestResponseRound:
     def test_fast_and_scalar_rounds_agree(self, instance):
         dataset, pf, table, cids = instance
         model = MNLCaptureModel(SiteUtilities(dataset, pf), beta=2.0)
-        fast = best_response_round(table, cids, 3, model, fast=True)
-        slow = best_response_round(table, cids, 3, model, fast=False)
+        fast = best_response_round(table, cids, 3, model)
+        with scalar_best_response():
+            slow = best_response_round(table, cids, 3, model)
         assert fast.leader_initial == slow.leader_initial
         assert fast.rival_selected == slow.rival_selected
         assert fast.leader_adapted == slow.leader_adapted

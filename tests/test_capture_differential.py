@@ -5,8 +5,9 @@ Two pinned contracts:
 * **Degenerate-case bit-identity** — evenly-split routed through the
   new :class:`~repro.capture.CaptureModel` contract produces *the same
   bits* (selections, per-round gains, objective, evaluation counters'
-  observable outputs) as the legacy no-capture path, across solvers ×
-  kernel knobs.  This is what makes the subsystem a refactor-safe
+  observable outputs) as the legacy no-capture path, across solvers,
+  with the legacy side also run through the scalar verification and
+  selection oracles of ``tests/oracles.py``.  This is what makes the subsystem a refactor-safe
   extension point rather than a fork of the objective.
 * **Set-aware sanity** — the vectorized CELF path agrees with the
   scalar reference oracle, and MNL greedy gains are monotone
@@ -36,13 +37,12 @@ from repro.solvers import (
 )
 from repro.solvers.base import resolve_all_pairs
 from tests.conftest import build_instance
+from tests.oracles import reference_solve, scalar_capture_greedy
 
 SOLVER_FACTORIES = {
-    "baseline": lambda fs, bv: BaselineGreedySolver(
-        fast_select=fs, batch_verify=bv
-    ),
-    "k-cifp": lambda fs, bv: AdaptedKCIFPSolver(fast_select=fs),
-    "iqt": lambda fs, bv: IQTSolver(fast_select=fs, batch_verify=bv),
+    "baseline": BaselineGreedySolver,
+    "k-cifp": AdaptedKCIFPSolver,
+    "iqt": IQTSolver,
 }
 
 
@@ -66,8 +66,10 @@ def test_evenly_split_capture_bit_identical_to_legacy(
     dataset = build_instance(
         seed=seed, n_users=30, n_candidates=max(8, k + 3), n_facilities=6
     )
-    solver = SOLVER_FACTORIES[solver_name](fast_select, batch_verify)
-    legacy = solver.solve(MC2LSProblem(dataset, k=k, tau=0.7))
+    solver = SOLVER_FACTORIES[solver_name]()
+    legacy = reference_solve(
+        solver, MC2LSProblem(dataset, k=k, tau=0.7), batch_verify, fast_select
+    )
     via_capture = solver.solve(
         MC2LSProblem(dataset, k=k, tau=0.7, capture=evenly_split_capture())
     )
@@ -88,8 +90,8 @@ def test_mnl_fast_matches_scalar_oracle_and_gains_decrease(seed, k, beta):
     )
     table, cids = _table_for(dataset)
     model = MNLCaptureModel(SiteUtilities(dataset, paper_default_pf()), beta=beta)
-    fast = capture_select(table, cids, k, model, fast=True)
-    slow = capture_select(table, cids, k, model, fast=False)
+    fast = capture_select(table, cids, k, model)
+    slow = scalar_capture_greedy(table, cids, k, model)
     assert fast.selected == slow.selected
     assert fast.objective == pytest.approx(slow.objective, abs=1e-9)
     for a, b in zip(fast.gains, fast.gains[1:]):
@@ -115,8 +117,8 @@ def test_fixed_worlds_fast_matches_scalar_oracle(seed, k, worlds, world_seed):
         n_worlds=worlds,
         seed=world_seed,
     )
-    fast = capture_select(table, cids, k, model, fast=True)
-    slow = capture_select(table, cids, k, model, fast=False)
+    fast = capture_select(table, cids, k, model)
+    slow = scalar_capture_greedy(table, cids, k, model)
     assert fast.selected == slow.selected
     assert fast.objective == pytest.approx(slow.objective, abs=1e-9)
     for a, b in zip(fast.gains, fast.gains[1:]):
@@ -127,17 +129,14 @@ def test_fixed_worlds_fast_matches_scalar_oracle(seed, k, worlds, world_seed):
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
     k=st.integers(min_value=1, max_value=4),
-    fast_select=st.booleans(),
 )
-def test_run_selection_capture_dispatch_matches_direct(seed, k, fast_select):
+def test_run_selection_capture_dispatch_matches_direct(seed, k):
     """run_selection(capture=...) equals calling capture_select directly."""
     dataset = build_instance(seed=seed, n_users=25, n_candidates=8, n_facilities=5)
     table, cids = _table_for(dataset)
     model = MNLCaptureModel(SiteUtilities(dataset, paper_default_pf()), beta=2.0)
-    via_dispatch = run_selection(
-        table, cids, k, fast_select=fast_select, capture=model
-    )
-    direct = capture_select(table, cids, k, model, fast=fast_select)
+    via_dispatch = run_selection(table, cids, k, capture=model)
+    direct = capture_select(table, cids, k, model)
     assert via_dispatch == direct
 
 

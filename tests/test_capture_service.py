@@ -16,6 +16,7 @@ from repro.service import SelectionEngine, SelectionQuery
 from repro.solvers import IQTSolver, MC2LSProblem
 from repro.streaming import StreamingMC2LS
 from tests.conftest import build_instance
+from tests.oracles import scalar_capture_greedy
 
 
 @pytest.fixture()
@@ -94,21 +95,18 @@ class TestBitIdentityWithDirectSolve:
         assert served.gains == direct.gains
 
     def test_candidate_mask_and_scalar_kernel(self, dataset):
+        """A masked engine query equals the scalar capture oracle."""
+        pf = paper_default_pf()
         spec = CaptureSpec(model="mnl", mnl_beta=1.5)
         mask = tuple(range(0, 8))
         with SelectionEngine(dataset) as engine:
             fast = engine.execute(
                 SelectionQuery(k=3, capture=spec, candidate_ids=mask)
             )
-            slow = engine.execute(
-                SelectionQuery(
-                    k=3,
-                    capture=spec,
-                    candidate_ids=mask,
-                    fast_select=False,
-                    use_cache=False,
-                )
-            )
+        table = IQTSolver().resolve(dataset, 0.7, pf).table
+        slow = scalar_capture_greedy(
+            table.restricted(set(mask)), mask, 3, spec.build(dataset, pf)
+        )
         assert fast.selected == slow.selected
         assert set(fast.selected) <= set(mask)
 

@@ -46,25 +46,13 @@ class TestSolve:
         assert code == 0
         assert "k-cifp" in capsys.readouterr().out
 
-    def test_kernel_flags_fall_back_to_scalar(self, capsys):
-        base = ["solve", "--users", "80", "--candidates", "10",
-                "--facilities", "10", "--k", "2"]
-        code = main(base)
-        assert code == 0
-        default_out = capsys.readouterr().out
-        assert "kernels: batch-verify+csr-select" in default_out
-
-        code = main(base + ["--no-batch-verify", "--no-fast-select"])
-        assert code == 0
-        scalar_out = capsys.readouterr().out
-        assert "kernels: scalar" in scalar_out
-
-        # Knobs change the kernels, never the selection.
-        pick = lambda text: [
-            line for line in text.splitlines() if "cinf(G)" in line
-        ]
-        assert pick(default_out)[0].split("solver")[0] == \
-            pick(scalar_out)[0].split("solver")[0]
+    def test_removed_kernel_flags_are_rejected(self, capsys):
+        for command in ("solve", "compare", "serve", "compete"):
+            for flag in ("--no-batch-verify", "--no-fast-select"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "--users", "80", flag])
+                assert exc.value.code == 2
+                assert flag in capsys.readouterr().err
 
 
 class TestCompare:
@@ -79,21 +67,6 @@ class TestCompare:
         out = capsys.readouterr().out
         assert code == 0
         assert "iqt" in out and "k-cifp" in out
-        assert "kernels" in out and "batch-verify+csr-select" in out
-        assert "NO" not in out
-
-    def test_compare_scalar_kernels_still_agree(self, capsys):
-        code = main(
-            [
-                "compare", "--users", "80", "--candidates", "10",
-                "--facilities", "12", "--k", "2", "--skip-baseline",
-                "--no-batch-verify", "--no-fast-select",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "batch-verify" not in out
-        assert "scalar" in out
         assert "NO" not in out
 
 

@@ -5,7 +5,8 @@ identical* to the eager scalar greedy — same selected tuple (smallest-id
 tie-break included), gains within 1e-9 (they are in fact bit-equal: the
 kernel confirms every round winner with correctly-rounded ``fsum``
 gains) — across random tables, adversarial exact-tie tables, degenerate
-shapes and every solver that exposes the ``fast_select`` knob.
+shapes and every solver, whose production selection is compared with
+the scalar oracles of ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -29,6 +30,12 @@ from repro.solvers import (
 from repro.solvers.budgeted import BudgetedGreedySolver
 from repro.solvers.capacitated import CapacitatedGreedySolver
 from tests.conftest import build_instance
+from tests.oracles import (
+    eager_capacitated_greedy,
+    enumerate_scalar,
+    reference_solve,
+    scalar_budgeted_select,
+)
 
 
 def random_table(seed, n_candidates=15, n_users=60, n_facilities=6):
@@ -185,40 +192,56 @@ class TestCoverageMatrixShape:
 
 
 class TestSolverKnobDifferential:
-    """Every wired solver: ``fast_select`` on vs off is selection-identical."""
+    """Every solver: the production selection equals the scalar oracle's."""
 
     @pytest.fixture(scope="class")
     def instance(self):
         return build_instance(seed=5, n_users=30, n_candidates=8, n_facilities=5)
 
-    def both(self, make_solver, instance, k=3):
-        prob = MC2LSProblem(instance, k=k, tau=0.5)
-        on = make_solver(True).solve(prob)
-        off = make_solver(False).solve(prob)
-        assert on.selected == off.selected
-        assert on.gains == off.gains
-        assert on.objective == pytest.approx(off.objective, abs=1e-9)
+    @staticmethod
+    def problem(instance, k=3):
+        return MC2LSProblem(instance, k=k, tau=0.5)
+
+    @staticmethod
+    def cids(instance):
+        return [c.fid for c in instance.candidates]
+
+    def assert_same(self, on, selected, gains, objective):
+        assert on.selected == selected
+        assert on.gains == gains
+        assert on.objective == pytest.approx(objective, abs=1e-9)
+
+    def both(self, solver, instance):
+        prob = self.problem(instance)
+        on = solver.solve(prob)
+        off = reference_solve(solver, prob, fast_select=False)
+        self.assert_same(on, off.selected, off.gains, off.objective)
 
     def test_iqt(self, instance):
-        self.both(lambda f: IQTSolver(fast_select=f), instance)
+        self.both(IQTSolver(), instance)
 
     def test_baseline(self, instance):
-        self.both(lambda f: BaselineGreedySolver(fast_select=f), instance)
+        self.both(BaselineGreedySolver(), instance)
 
     def test_kcifp(self, instance):
-        self.both(lambda f: AdaptedKCIFPSolver(fast_select=f), instance)
+        self.both(AdaptedKCIFPSolver(), instance)
 
     def test_exact(self, instance):
-        self.both(lambda f: ExactSolver(fast_select=f), instance)
+        on = ExactSolver().solve(self.problem(instance))
+        selected, objective = enumerate_scalar(on.table, self.cids(instance), 3)
+        self.assert_same(on, selected, (), objective)
 
     def test_budgeted(self, instance):
         costs = {c.fid: 1.0 + (c.fid % 3) for c in instance.candidates}
-        self.both(
-            lambda f: BudgetedGreedySolver(costs=costs, budget=5.0, fast_select=f),
-            instance,
+        on = BudgetedGreedySolver(costs=costs, budget=5.0).solve(
+            self.problem(instance)
+        )
+        self.assert_same(
+            on, *scalar_budgeted_select(on.table, costs, 5.0, self.cids(instance))
         )
 
     def test_capacitated(self, instance):
-        self.both(
-            lambda f: CapacitatedGreedySolver(capacity=3, fast_select=f), instance
+        on = CapacitatedGreedySolver(capacity=3).solve(self.problem(instance))
+        self.assert_same(
+            on, *eager_capacitated_greedy(on.table, self.cids(instance), 3, 3)
         )

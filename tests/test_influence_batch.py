@@ -191,7 +191,8 @@ class TestArena:
 
 
 class TestSolverLevelIdentity:
-    """batch_verify=True and =False give identical results and counters."""
+    """The batched production solvers equal the scalar-verification
+    oracles (``tests/oracles.py``) in results and counters."""
 
     def _problem(self):
         from repro.solvers import MC2LSProblem
@@ -201,10 +202,12 @@ class TestSolverLevelIdentity:
 
     def test_iqt(self):
         from repro.solvers import IQTSolver
+        from tests.oracles import reference_solve
 
         problem = self._problem()
-        a = IQTSolver(batch_verify=True).solve(problem)
-        b = IQTSolver(batch_verify=False).solve(problem)
+        solver = IQTSolver()
+        a = solver.solve(problem)
+        b = reference_solve(solver, problem, batch_verify=False)
         assert a.selected == b.selected
         assert a.objective == b.objective
         assert a.table.omega_c == b.table.omega_c
@@ -212,29 +215,41 @@ class TestSolverLevelIdentity:
         assert a.evaluation.__dict__ == b.evaluation.__dict__
 
     def test_baseline_and_exact(self):
+        from repro.competition import InfluenceTable
         from repro.solvers import BaselineGreedySolver, ExactSolver
+        from tests.oracles import (
+            enumerate_scalar,
+            reference_solve,
+            scalar_resolve_all_pairs,
+        )
 
         problem = self._problem()
-        a = BaselineGreedySolver(batch_verify=True).solve(problem)
-        b = BaselineGreedySolver(batch_verify=False).solve(problem)
+        solver = BaselineGreedySolver()
+        a = solver.solve(problem)
+        b = reference_solve(solver, problem, batch_verify=False)
         assert a.selected == b.selected
         assert a.table.omega_c == b.table.omega_c
         assert a.evaluation.__dict__ == b.evaluation.__dict__
-        c = ExactSolver(batch_verify=True).solve(problem)
-        d = ExactSolver(batch_verify=False).solve(problem)
-        assert c.selected == d.selected
-        assert c.evaluation.__dict__ == d.evaluation.__dict__
+        c = ExactSolver().solve(problem)
+        evaluator = InfluenceEvaluator(problem.pf, problem.tau, early_stopping=False)
+        omega_c, f_o = scalar_resolve_all_pairs(problem.dataset, evaluator)
+        table = InfluenceTable(omega_c, f_o)
+        cids = [cand.fid for cand in problem.dataset.candidates]
+        d_selected, _ = enumerate_scalar(table, cids, problem.k)
+        assert c.selected == d_selected
+        assert c.evaluation.__dict__ == evaluator.stats.__dict__
 
     def test_streaming(self):
         from repro.streaming import StreamingMC2LS
         from tests.conftest import build_instance
+        from tests.oracles import ScalarStreamingMC2LS
 
         ds = build_instance(seed=10, n_users=30, r=6)
-        fast = StreamingMC2LS(ds.facilities, ds.candidates, k=3, batch_verify=True)
-        slow = StreamingMC2LS(ds.facilities, ds.candidates, k=3, batch_verify=False)
+        fast = StreamingMC2LS(ds.facilities, ds.candidates, k=3)
+        slow = ScalarStreamingMC2LS(ds.facilities, ds.candidates, k=3)
         for u in ds.users:
             fast.add_user(u)
             slow.add_user(u)
         assert fast.table().omega_c == slow.table().omega_c
         assert fast.table().f_o == slow.table().f_o
-        assert fast._evaluator.stats.__dict__ == slow._evaluator.stats.__dict__
+        assert fast._batch.stats.__dict__ == slow._batch.stats.__dict__

@@ -2,8 +2,9 @@
 
 The core acceptance property: every engine result is **bit-identical**
 (selection order, per-round gains, objective) to the corresponding direct
-``Solver.solve`` call, across all supported solvers and kernel-knob
-combinations, with and without candidate masks.
+``Solver.solve`` call, across all supported solvers, with and without
+candidate masks — and equal to the scalar verification and selection
+oracles of ``tests/oracles.py`` on the same instance.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from repro.service import (
 from repro.solvers import MC2LSProblem
 
 from .conftest import build_instance
+from .oracles import reference_solve
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +42,6 @@ def engine(dataset):
     eng.shutdown()
 
 
-def direct_solver(name, batch_verify, fast_select):
-    solver = SOLVER_FACTORIES[name](batch_verify)
-    solver.fast_select = fast_select
-    return solver
-
-
 class TestDifferentialIdentity:
     @pytest.mark.parametrize("solver_name", sorted(SOLVER_FACTORIES))
     @pytest.mark.parametrize(
@@ -54,16 +50,14 @@ class TestDifferentialIdentity:
     def test_engine_matches_direct_solve(
         self, engine, dataset, solver_name, batch_verify, fast_select
     ):
-        query = SelectionQuery(
-            k=4,
-            tau=0.6,
-            solver=solver_name,
-            batch_verify=batch_verify,
-            fast_select=fast_select,
-        )
-        served = engine.execute(query)
-        direct = direct_solver(solver_name, batch_verify, fast_select).solve(
-            MC2LSProblem(dataset, k=4, tau=0.6)
+        """``batch_verify`` / ``fast_select`` off swap the direct solve's
+        verification / selection for the scalar oracles."""
+        served = engine.execute(SelectionQuery(k=4, tau=0.6, solver=solver_name))
+        direct = reference_solve(
+            SOLVER_FACTORIES[solver_name](),
+            MC2LSProblem(dataset, k=4, tau=0.6),
+            batch_verify,
+            fast_select,
         )
         assert served.selected == direct.selected
         assert served.gains == direct.gains
@@ -72,7 +66,7 @@ class TestDifferentialIdentity:
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_varying_k_reuses_prepared(self, engine, dataset, k):
         served = engine.execute(SelectionQuery(k=k, tau=0.7))
-        direct = SOLVER_FACTORIES["iqt"](True).solve(
+        direct = SOLVER_FACTORIES["iqt"]().solve(
             MC2LSProblem(dataset, k=k, tau=0.7)
         )
         assert served.selected == direct.selected
@@ -83,12 +77,12 @@ class TestDifferentialIdentity:
         self, engine, dataset, fast_select
     ):
         subset = tuple(c.fid for c in dataset.candidates[::2])
-        served = engine.execute(
-            SelectionQuery(k=3, candidate_ids=subset, fast_select=fast_select)
-        )
+        served = engine.execute(SelectionQuery(k=3, candidate_ids=subset))
         restricted = dataset.with_candidates(dataset.candidates[::2])
-        direct = SOLVER_FACTORIES["iqt"](True).solve(
-            MC2LSProblem(restricted, k=3, tau=0.7)
+        direct = reference_solve(
+            SOLVER_FACTORIES["iqt"](),
+            MC2LSProblem(restricted, k=3, tau=0.7),
+            fast_select=fast_select,
         )
         assert served.selected == direct.selected
         assert served.gains == direct.gains
@@ -135,7 +129,7 @@ class TestCachingBehaviour:
         served = engine.execute(query)
         assert served.stats.result_cache == "miss"
         assert served.stats.snapshot_version == new.version
-        direct = SOLVER_FACTORIES["iqt"](True).solve(
+        direct = SOLVER_FACTORIES["iqt"]().solve(
             MC2LSProblem(mutated, k=3, tau=0.7)
         )
         assert served.selected == direct.selected

@@ -4,7 +4,8 @@ The incremental republish path (PR 6) must be *undetectable* from the
 query side: a :meth:`PreparedInstance.patched` instance — dirty rows
 re-verified, CSR matrix spliced, CELF bounds warm-started — answers every
 query bit-identically to a fresh resolve of the mutated dataset.  This
-suite pins that across every solver × kernel-knob combination, exercises
+suite pins that across every solver, against the scalar verification
+and selection oracles of ``tests/oracles.py`` too, exercises
 the CSR splice and compaction paths elementwise, and covers the engine's
 publish-time migration including its ablation knob and failure fallbacks.
 """
@@ -23,10 +24,11 @@ from repro.service import (
     SelectionEngine,
     SelectionQuery,
 )
-from repro.solvers import CoverageMatrix, IQTSolver, patch_resolution
+from repro.solvers import CoverageMatrix, IQTSolver, patch_resolution, run_selection
 from repro.solvers.coverage import _COMPACT_FRACTION
 from repro.streaming import StreamingMC2LS
 from tests.conftest import build_instance
+from tests.oracles import reference_resolve, scalar_patch_resolution, scalar_select
 
 TAU = 0.6
 
@@ -64,38 +66,42 @@ class TestPatchBitIdentity:
     @pytest.mark.parametrize("batch_verify", [True, False])
     @pytest.mark.parametrize("fast_select", [True, False])
     def test_identical_to_fresh_resolve(self, solver_name, batch_verify, fast_select):
+        """``batch_verify`` / ``fast_select`` off resolve / select the
+        fresh reference through the scalar oracles."""
         session = make_session()
         snap1 = DatasetSnapshot.from_streaming(session)
-        solver = SOLVER_FACTORIES[solver_name](batch_verify)
+        solver = SOLVER_FACTORIES[solver_name]()
         old = PreparedInstance(snap1, solver, TAU)
-        old.select(3, fast_select=fast_select)  # densify before the splice
+        old.select(3)  # densify before the splice
         standard_churn(session)
         snap2 = DatasetSnapshot.from_streaming(session)
 
-        patched = PreparedInstance.patched(old, snap2, batch_verify=batch_verify)
-        fresh = PreparedInstance(
-            snap2, SOLVER_FACTORIES[solver_name](batch_verify), TAU
-        )
+        patched = PreparedInstance.patched(old, snap2)
+        fresh = reference_resolve(
+            SOLVER_FACTORIES[solver_name](), snap2.dataset, TAU,
+            batch_verify=batch_verify,
+        ).table
+        select = run_selection if fast_select else scalar_select
 
         # The query-observable surface: selections, gains, objectives for
-        # several k, with and without a candidate mask, on either kernel.
+        # several k, with and without a candidate mask.
         for k in (1, 2, 4):
-            p = patched.select(k, fast_select=fast_select)
-            f = fresh.select(k, fast_select=fast_select)
+            p = patched.select(k)
+            f = select(fresh, patched.candidate_ids, k)
             assert p.selected == f.selected
             assert p.gains == f.gains
             assert p.objective == f.objective
         mask = patched.candidate_ids[::2]
-        p = patched.select(2, candidate_ids=mask, fast_select=fast_select)
-        f = fresh.select(2, candidate_ids=mask, fast_select=fast_select)
+        p = patched.select(2, candidate_ids=mask)
+        f = select(fresh.restricted(set(mask)), mask, 2)
         assert p.selected == f.selected and p.gains == f.gains
 
         # The resolved relationships themselves: omega_c must match
         # exactly; f_o on every user a candidate influences (the subset
         # any selection reads — solvers legitimately differ on the rest).
-        assert patched.table.omega_c == fresh.table.omega_c
-        for uid in fresh.table.influenced_users():
-            assert patched.table.f_o.get(uid) == fresh.table.f_o.get(uid)
+        assert patched.table.omega_c == fresh.omega_c
+        for uid in fresh.influenced_users():
+            assert patched.table.f_o.get(uid) == fresh.f_o.get(uid)
 
     def test_selection_work_matches_fresh_when_cold(self):
         session = make_session()
@@ -116,13 +122,15 @@ class TestPatchBitIdentity:
         old = PreparedInstance(snap1, IQTSolver(), TAU)
         standard_churn(session)
         snap2 = DatasetSnapshot.from_streaming(session)
-        batched = PreparedInstance.patched(old, snap2, batch_verify=True)
-        scalar = PreparedInstance.patched(old, snap2, batch_verify=False)
+        batched = PreparedInstance.patched(old, snap2)
+        scalar = scalar_patch_resolution(
+            old.resolved, snap2.dataset, snap2.delta.dirty, snap2.delta.removed, TAU
+        )
         assert batched.table.omega_c == scalar.table.omega_c
         assert batched.table.f_o == scalar.table.f_o
         # The stats-equivalence contract holds for the patch path too:
         # the batched kernel reports the work a scalar scanner would do.
-        assert batched.resolved.evaluation == scalar.resolved.evaluation
+        assert batched.resolved.evaluation == scalar.evaluation
 
     def test_patched_provenance_and_cost_accounting(self):
         session = make_session()

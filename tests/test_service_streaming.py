@@ -15,11 +15,14 @@ from repro.solvers import BaselineGreedySolver, MC2LSProblem
 from repro.streaming import StreamingMC2LS
 
 from .conftest import build_instance
+from .oracles import reference_solve
 
 
 def fresh_scalar_reference(dataset, k, tau):
-    solver = BaselineGreedySolver(batch_verify=False, fast_select=False)
-    return solver.solve(MC2LSProblem(dataset, k=k, tau=tau))
+    problem = MC2LSProblem(dataset, k=k, tau=tau)
+    return reference_solve(
+        BaselineGreedySolver(), problem, batch_verify=False, fast_select=False
+    )
 
 
 def assert_matches_fresh(engine, session, k, tau):

@@ -15,14 +15,16 @@ from repro.competition import InfluenceTable
 from repro.exceptions import ServiceError, ShardError, SolverError
 from repro.influence import InfluenceEvaluator, paper_default_pf
 from repro.service import (
+    SOLVER_FACTORIES,
     SelectionEngine,
     SelectionQuery,
     ShardCoordinator,
 )
 from repro.service.shared import SEGMENT_PREFIX
 from repro.service.snapshot import DatasetSnapshot
-from repro.solvers import CoverageMatrix
+from repro.solvers import CoverageMatrix, MC2LSProblem
 from repro.solvers.base import resolve_all_pairs
+from tests.oracles import reference_solve
 
 TAU = 0.7
 
@@ -50,7 +52,7 @@ def snapshot(instance):
 
 def _reference_matrix(dataset, tau=TAU):
     ev = InfluenceEvaluator(paper_default_pf(), tau)
-    omega, f_o = resolve_all_pairs(dataset, ev, batch_verify=True)
+    omega, f_o = resolve_all_pairs(dataset, ev)
     table = InfluenceTable.from_mappings(omega, f_o)
     cids = sorted(c.fid for c in dataset.candidates)
     return CoverageMatrix(table, cids), ev.stats
@@ -137,20 +139,26 @@ def test_coordinator_close_is_idempotent(snapshot, preexisting_segments):
 
 
 # ----------------------------------------------------------------------
-# Engine-level identity across solvers x knobs
+# Engine-level identity across solvers, and against the scalar greedy
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("solver", ["baseline", "iqt", "iqt-pino"])
 @pytest.mark.parametrize("fast_select", [True, False])
 def test_engine_sharded_matches_threaded(instance, solver, fast_select, preexisting_segments):
+    """``fast_select=False`` checks the sharded result against a direct
+    solve whose selection runs the scalar greedy oracle instead."""
     sharded = SelectionEngine(instance, execution="sharded", shard_workers=2)
     threaded = SelectionEngine(instance)
     try:
         for k, tau in [(1, 0.7), (4, 0.7), (3, 0.6)]:
-            q = SelectionQuery(
-                k=k, tau=tau, solver=solver, fast_select=fast_select, use_cache=False
-            )
+            q = SelectionQuery(k=k, tau=tau, solver=solver, use_cache=False)
             rs = sharded.execute(q)
             rt = threaded.execute(q)
+            if not fast_select:
+                rt = reference_solve(
+                    SOLVER_FACTORIES[solver](),
+                    MC2LSProblem(instance, k=k, tau=tau),
+                    fast_select=False,
+                )
             assert rs.selected == rt.selected
             assert rs.gains == rt.gains
             assert rs.objective == rt.objective

@@ -10,6 +10,7 @@ from repro.exceptions import DataError, SolverError
 from repro.sketches import FMSketch, exact_coverage_greedy, sketched_coverage_greedy
 from repro.solvers import IQTSolver, MC2LSProblem
 from tests.conftest import build_instance
+from tests.oracles import scalar_sketched_greedy
 
 
 class TestFMSketch:
@@ -219,10 +220,11 @@ class TestSentinelRegression:
 
     @pytest.mark.parametrize("fast_select", [True, False])
     def test_selection_completes_with_clamped_gains(self, fast_select):
+        """``fast_select=False`` runs the scalar sketch-loop oracle."""
         table = self.pinned_table()
-        out = sketched_coverage_greedy(
-            table, [0, 1, 2, 3], k=4, n_registers=self.M, seed=self.SEED,
-            fast_select=fast_select,
+        greedy = sketched_coverage_greedy if fast_select else scalar_sketched_greedy
+        out = greedy(
+            table, [0, 1, 2, 3], k=4, n_registers=self.M, seed=self.SEED
         )
         assert len(out.selected) == 4
         assert sorted(out.selected) == [0, 1, 2, 3]
@@ -234,12 +236,10 @@ class TestSentinelRegression:
     def test_fast_path_bit_identical(self):
         table = self.pinned_table()
         fast = sketched_coverage_greedy(
-            table, [0, 1, 2, 3], k=4, n_registers=self.M, seed=self.SEED,
-            fast_select=True,
+            table, [0, 1, 2, 3], k=4, n_registers=self.M, seed=self.SEED
         )
-        scalar = sketched_coverage_greedy(
-            table, [0, 1, 2, 3], k=4, n_registers=self.M, seed=self.SEED,
-            fast_select=False,
+        scalar = scalar_sketched_greedy(
+            table, [0, 1, 2, 3], k=4, n_registers=self.M, seed=self.SEED
         )
         assert fast == scalar
 
@@ -258,9 +258,9 @@ class TestFastPathEquivalence:
         }
         t = InfluenceTable.from_mappings(omega, {})
         fast = sketched_coverage_greedy(
-            t, list(range(12)), k=6, n_registers=m, seed=seed, fast_select=True
+            t, list(range(12)), k=6, n_registers=m, seed=seed
         )
-        scalar = sketched_coverage_greedy(
-            t, list(range(12)), k=6, n_registers=m, seed=seed, fast_select=False
+        scalar = scalar_sketched_greedy(
+            t, list(range(12)), k=6, n_registers=m, seed=seed
         )
         assert fast == scalar

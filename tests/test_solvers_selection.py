@@ -133,7 +133,7 @@ class TestTableValidation:
         with pytest.raises(SolverError, match="unknown candidates"):
             coverage_select(self.stale_table(), [1, 2], k=1)
         with pytest.raises(SolverError, match="unknown candidates"):
-            run_selection(self.stale_table(), [1, 2], k=1, fast_select=False)
+            run_selection(self.stale_table(), [1, 2], k=1)
 
     def test_full_candidate_set_accepted(self):
         outcome = greedy_select(self.stale_table(), [1, 2, 99], k=1)

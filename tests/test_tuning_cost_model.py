@@ -19,8 +19,8 @@ def _toy_model(resolve=0.010, select=0.001, hit=1e-5):
     """A hand-built model: resolve/select constant per call, so predicted
     totals count cache events exactly."""
     return CostModel(
-        resolve_coeff={True: (resolve, 0.0), False: (2 * resolve, 0.0)},
-        select_coeff={True: (select, 0.0), False: (2 * select, 0.0)},
+        resolve_coeff=(resolve, 0.0),
+        select_coeff=(select, 0.0),
         hit_seconds=hit,
     )
 
@@ -64,9 +64,8 @@ class TestCalibration:
         features = cost_features(california_like(
             n_users=60, n_candidates=8, n_facilities=16, seed=0
         ))
-        for knob in (True, False):
-            assert model.resolve_seconds(features, knob) > 0
-            assert model.select_seconds(features, 3, knob) > 0
+        assert model.resolve_seconds(features) > 0
+        assert model.select_seconds(features, 3) > 0
         assert model.hit_seconds > 0
 
     def test_calibrate_rejects_zero_repeats(self):
@@ -108,6 +107,17 @@ class TestCalibration:
         back = CostModel.from_dict(old)
         assert back.capture_select_coeff == {}
         assert back.calibrated_worlds == 8
+
+    def test_old_two_kernel_dump_loads_the_production_fit(self):
+        """Dumps fitted per kernel toggle keep the ``"true"`` fit: the
+        batched verifier and the CSR selector the engine runs."""
+        old = _toy_model(resolve=0.010, select=0.001).as_dict()
+        old["resolve_coeff"] = {"true": [0.010, 2e-6], "false": [0.020, 4e-6]}
+        old["select_coeff"] = {"true": [0.001, 3e-7], "false": [0.002, 6e-7]}
+        back = CostModel.from_dict(old)
+        assert back.resolve_coeff == (0.010, 2e-6)
+        assert back.select_coeff == (0.001, 3e-7)
+        assert CostModel.from_dict(back.as_dict()) == back
 
 
 # ----------------------------------------------------------------------
@@ -216,15 +226,6 @@ class TestPredictTrace:
         )
         assert fitted.predict_trace(trace, EngineConfig()).total_s > \
             base.predict_trace(trace, EngineConfig()).total_s
-
-    def test_scalar_kernel_override_costs_more(self):
-        trace = record_canned("cold-start", None, **SMALL)
-        model = _toy_model()
-        fast = model.predict_trace(trace, EngineConfig())
-        scalar = model.predict_trace(
-            trace, EngineConfig(batch_verify=False, fast_select=False)
-        )
-        assert scalar.total_s > fast.total_s
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,11 @@ import json
 import pytest
 
 from repro.capture import CaptureSpec
+from repro.data import california_like
 from repro.exceptions import TuningError
 from repro.influence import ExponentialPF, SigmoidPF
-from repro.service import SelectionQuery
+from repro.service import SelectionEngine, SelectionQuery
+from repro.solvers import IQTSolver, MC2LSProblem
 from repro.tuning import (
     CANNED_WORKLOADS,
     EngineConfig,
@@ -54,8 +56,6 @@ class TestQuerySerialisation:
             solver="iqt-c",
             pf=ExponentialPF(p0=0.9, scale=2.0),
             candidate_ids=(1, 3, 5),
-            batch_verify=False,
-            fast_select=False,
             deadline_s=1.5,
             use_cache=False,
             capture=CaptureSpec(model="mnl", mnl_beta=2.0),
@@ -72,6 +72,25 @@ class TestQuerySerialisation:
         back = SelectionQuery.from_dict(json.loads(json.dumps(q.as_dict())))
         assert back.as_dict() == q.as_dict()
         assert back.pf.cache_key() == q.pf.cache_key()
+
+    def test_retired_kernel_keys_are_ignored(self):
+        """Recordings made when queries named a kernel still parse: the
+        retired toggles drop out, leaving the same query, cache keys and
+        selection."""
+        plain = SelectionQuery(k=3, tau=0.65)
+        legacy = dict(plain.as_dict(), batch_verify=False, fast_select=False)
+        parsed = SelectionQuery.from_dict(legacy)
+        assert parsed == plain
+        assert parsed.as_dict() == plain.as_dict()
+        dataset = california_like(**SMALL)
+        with SelectionEngine(dataset) as engine:
+            first = engine.execute(parsed)
+            again = engine.execute(plain)
+        assert first.stats.result_cache == "miss"
+        assert again.stats.result_cache == "hit"
+        direct = IQTSolver().solve(MC2LSProblem(dataset, k=3, tau=0.65))
+        assert first.selected == again.selected == direct.selected
+        assert first.gains == direct.gains
 
 
 # ----------------------------------------------------------------------
@@ -184,11 +203,12 @@ class TestRoundTrip:
         assert first.cache_sequence() == second.cache_sequence()
 
     def test_kernel_knob_overrides_keep_results(self):
-        """Forcing the scalar kernels changes latency, never selections."""
+        """Queries recorded with the scalar kernels forced replay to the
+        recorded selections."""
         trace = record_canned("cold-start", None, **SMALL)
-        report = TraceReplayer(trace).replay(
-            EngineConfig(batch_verify=False, fast_select=False)
-        )
+        for event in trace.query_events():
+            event.query.update(batch_verify=False, fast_select=False)
+        report = TraceReplayer(trace).replay(EngineConfig())
         assert report.selection_mismatches(trace) == 0
 
     def test_open_loop_pacing_matches_recorded_selections(self):
@@ -263,6 +283,19 @@ class TestCannedFixtures:
         assert first.selections() == second.selections()
         assert first.cache_sequence() == second.cache_sequence()
         assert first.outcomes() == second.outcomes()
+        assert first.selection_mismatches(trace) == 0
+
+    @pytest.mark.parametrize("workload", ["churn", "cold-start"])
+    def test_fixture_replays_to_its_recording(self, workload):
+        """The other committed fixtures, recorded when queries still
+        named their kernels, replay deterministically to the recorded
+        selections."""
+        trace = WorkloadTrace.load(FIXTURES[workload])
+        replayer = TraceReplayer(trace)
+        first = replayer.replay(EngineConfig())
+        second = replayer.replay(EngineConfig())
+        assert first.selections() == second.selections()
+        assert first.cache_sequence() == second.cache_sequence()
         assert first.selection_mismatches(trace) == 0
 
     def test_unknown_workload_rejected(self):

@@ -26,16 +26,14 @@ TINY_SPACE = {
     "prepared_cache_size": (8, 32),
     "result_cache_size": (64,),
     "max_workers": (1,),
-    "batch_verify": (None,),
-    "fast_select": (None,),
     "shard_workers": (0,),  # pin: the default grid adds it on multi-core
 }
 
 
 def _toy_model():
     return CostModel(
-        resolve_coeff={True: (0.010, 0.0), False: (0.020, 0.0)},
-        select_coeff={True: (0.001, 0.0), False: (0.002, 0.0)},
+        resolve_coeff=(0.010, 0.0),
+        select_coeff=(0.001, 0.0),
         hit_seconds=1e-5,
     )
 
@@ -137,8 +135,6 @@ class TestTune:
                 "prepared_cache_size": (default.prepared_cache_size,),
                 "result_cache_size": (default.result_cache_size,),
                 "max_workers": (default.max_workers,),
-                "batch_verify": (default.batch_verify,),
-                "fast_select": (default.fast_select,),
             },
         ).tune(validate_top=1)
         assert recommendation.config == default

@@ -33,7 +33,7 @@ from repro.bench.timing import repeat_timed
 from repro.capture import CaptureSpec, REGISTERED_MODELS, capture_select
 from repro.competition import InfluenceTable
 from repro.data.synthetic import SyntheticSpec, generate_population
-from repro.influence import InfluenceEvaluator, paper_default_pf
+from repro.influence import BatchInfluenceEvaluator, paper_default_pf
 from repro.solvers import run_selection
 from repro.solvers.base import resolve_all_pairs
 
@@ -80,7 +80,7 @@ def run_capture_models_benchmark(
     """Time selection under every registered capture model."""
     dataset = _population_dataset(n_users, n_candidates, n_facilities)
     pf = paper_default_pf()
-    ev = InfluenceEvaluator(pf, tau)
+    ev = BatchInfluenceEvaluator(pf, tau)
     resolve_timing = repeat_timed(
         lambda: resolve_all_pairs(dataset, ev), repeats
     )

@@ -2,8 +2,8 @@
 
 Protocol: keep users with ≥ 30 positions, sample exactly r ∈ {10..30}
 from each.  Expected shape: runtime and verification cost (positions
-touched) rise with r; IQT stays ahead throughout because pruning plus
-early stopping touch only r' < r positions per surviving pair.
+touched) rise with r; IQT stays ahead throughout because pruning leaves
+only a small share of the pairs to verify.
 """
 
 from repro.bench import record_table

@@ -134,6 +134,11 @@ def run_batch_verify_benchmark(
 ) -> dict:
     """Time the scalar loop against the batch kernel on one big batch.
 
+    The scalar reference is the full-scan evaluator
+    (``early_stopping=False``), the path the batch kernel is
+    bit-identical to in decisions and counters.  Each path runs once
+    untimed first, so no cold first repeat widens the spread.
+
     Returns (and writes to ``out_path``) the recorded trajectory point:
     median-of-``repeats`` wall-clock for both paths (with the min/max
     spread recorded under ``timings``), the speedup, and a bit-identity
@@ -145,14 +150,16 @@ def run_batch_verify_benchmark(
     vx, vy = 0.0, 0.0
 
     def scalar_pass():
-        ev = InfluenceEvaluator(pf, DEFAULT_TAU)
+        ev = InfluenceEvaluator(pf, DEFAULT_TAU, early_stopping=False)
         return np.array([ev.influences(vx, vy, u.positions) for u in users]), ev.stats
 
     def batch_pass():
         ev = BatchInfluenceEvaluator(pf, DEFAULT_TAU)
         return ev.influences_users(vx, vy, arena), ev.stats
 
+    scalar_pass()
     scalar = repeat_timed(scalar_pass, repeats)
+    batch_pass()
     batch = repeat_timed(batch_pass, repeats)
     scalar_dec, scalar_stats = scalar.result
     batch_dec, batch_stats = batch.result

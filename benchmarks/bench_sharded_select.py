@@ -31,7 +31,7 @@ from pathlib import Path
 from repro.bench.timing import repeat_timed
 from repro.competition import InfluenceTable
 from repro.data.synthetic import SyntheticSpec, generate_population
-from repro.influence import InfluenceEvaluator, paper_default_pf
+from repro.influence import BatchInfluenceEvaluator, paper_default_pf
 from repro.service import ShardCoordinator
 from repro.service.snapshot import DatasetSnapshot
 from repro.solvers import CoverageMatrix
@@ -84,7 +84,7 @@ def run_sharded_select_benchmark(
 
     # Single-process reference: the engine's in-process resolve + select.
     def single_resolve():
-        ev = InfluenceEvaluator(pf, tau)
+        ev = BatchInfluenceEvaluator(pf, tau)
         omega, f_o = resolve_all_pairs(dataset, ev)
         return InfluenceTable.from_mappings(omega, f_o), ev.stats
 

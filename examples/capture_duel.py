@@ -19,7 +19,7 @@ from repro import paper_default_pf
 from repro.capture import CaptureSpec, best_response_round
 from repro.competition import InfluenceTable
 from repro.data import new_york_like
-from repro.influence import InfluenceEvaluator
+from repro.influence import BatchInfluenceEvaluator
 from repro.solvers import run_selection
 from repro.solvers.base import resolve_all_pairs
 
@@ -30,7 +30,7 @@ def main() -> None:
     dataset = new_york_like(n_users=400, n_candidates=60, n_facilities=40, seed=7)
     print(dataset.describe())
     pf = paper_default_pf()
-    omega_c, f_o = resolve_all_pairs(dataset, InfluenceEvaluator(pf, 0.5))
+    omega_c, f_o = resolve_all_pairs(dataset, BatchInfluenceEvaluator(pf, 0.5))
     table = InfluenceTable.from_mappings(omega_c, f_o)
     cids = sorted(omega_c)
 

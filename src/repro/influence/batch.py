@@ -6,30 +6,32 @@ surviving ``(facility, user)`` pairs, and the scalar
 small-array overhead on every one of them.  This module packs all users'
 position multisets into one CSR-style arena (a flat ``(N, 2)`` float64
 array plus segment offsets) and decides an entire batch in a handful of
-large numpy passes: distances, survival factors, segmented products via
-``np.multiply.reduceat`` for the exact path, and a padded per-segment
-cumulative product for the early-stopping path.
+large numpy passes: distances, survival factors, and one segmented
+product per pair via ``np.multiply.reduceat``.
 
-**Bit-identity contract.**  Every decision (and probability) the batch
-kernel emits is bit-identical to the scalar evaluator's corrected
-boundary call:
+The kernel is decision-only.  PINOCCHIO early stopping saves work only
+in a per-position scan, so the batch path never replays it: every pair
+is decided on its full survival product.  Early stopping lives on in the
+scalar evaluator, as the reference and for ablation A1; its decisions
+equal the full scan's.
+
+**Bit-identity contract.**  Every decision the batch kernel emits is
+bit-identical to the scalar evaluator's full-scan call
+(``early_stopping=False``):
 
 * survival factors are computed with the same elementwise expression
   ``1 − PF(sqrt(dx² + dy²))``;
-* sequential products come from ``np.cumprod`` (1-D, 2-D rows, and
-  reduceat segments all perform the same left-to-right chain, which the
-  test suite verifies bitwise against the scalar path);
+* the survival product is the same left-to-right chain (1-D ``np.prod``,
+  row-wise reduction, and ``reduceat`` segments all multiply in order,
+  which the test suite verifies bitwise against the scalar path);
 * decisions are made on the survival product ``q <= 1 − τ``, never the
-  complement;
-* the negative-certificate bound multiplies by powers read from the
-  shared :func:`~repro.influence.model.survival_powers` table, exactly
-  as the scalar path does.
+  complement.
 
-**Stats-equivalence contract.**  :class:`EvaluationStats` counters are
-computed from the per-segment cumulative certificates — the position at
-which a left-to-right scanner would have stopped — not from the work the
-vectorised kernel actually performs, so Figs. 15–16 cost accounting is
-unchanged whether a solver verifies pair-by-pair or in batches.
+**Stats-equivalence contract.**  Each decided pair counts as one full
+evaluation touching all of the user's positions, exactly as the scalar
+full-scan path counts it, so the Figs. 15–16 cost accounting is the same
+whether a solver verifies pair-by-pair or in batches.  The early-stop
+counters of :class:`EvaluationStats` stay 0.
 """
 
 from __future__ import annotations
@@ -40,12 +42,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..exceptions import DataError, ProbabilityError
-from .model import EvaluationStats, survival_powers
+from .model import EvaluationStats
 from .probability import ProbabilityFunction
-
-# Padded (rows x r_max) work matrices are processed in chunks of at most
-# this many elements so one batch over long histories cannot blow memory.
-_CHUNK_ELEMENTS = 1 << 22
 
 
 class PositionArena:
@@ -146,43 +144,26 @@ class PositionArena:
 class BatchInfluenceEvaluator:
     """Vectorised influence decisions for a fixed ``(PF, τ)`` configuration.
 
-    Mirrors :class:`~repro.influence.model.InfluenceEvaluator` semantics
-    exactly — same boundary call, same early-stopping certificates, same
-    :class:`EvaluationStats` accounting — but decides whole batches per
-    numpy pass.  Pass the scalar evaluator's ``stats`` object to keep one
-    combined set of counters for a solver run.
+    Decides exactly what the scalar
+    :class:`~repro.influence.model.InfluenceEvaluator` decides with
+    ``early_stopping=False`` — same boundary call, same
+    :class:`EvaluationStats` accounting — but for whole batches per
+    numpy pass.
 
     Args:
         pf: Distance-decay probability function.
         tau: Influence threshold in ``(0, 1)``.
-        early_stopping: Account (and decide) with the PINOCCHIO
-            per-position certificates; when ``False`` the exact full-scan
-            path is used, as in the baseline solvers.
         stats: Counter object to accumulate into (fresh by default).
     """
 
     pf: ProbabilityFunction
     tau: float
-    early_stopping: bool = True
     stats: EvaluationStats = field(default_factory=EvaluationStats)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise ProbabilityError(f"tau must be in (0, 1), got {self.tau}")
-        self._min_survival = 1.0 - self.pf.max_probability
-        self._pow_table = survival_powers(self._min_survival, 1)
 
-    def _powers(self, n: int) -> np.ndarray:
-        """Cached ``min_survival ** [0..n)`` table (grown geometrically)."""
-        if self._pow_table.shape[0] < n:
-            self._pow_table = survival_powers(
-                self._min_survival, max(n, 2 * self._pow_table.shape[0])
-            )
-        return self._pow_table
-
-    # ------------------------------------------------------------------
-    # One facility vs. many users
-    # ------------------------------------------------------------------
     def influences_users(
         self,
         vx: float,
@@ -204,32 +185,14 @@ class BatchInfluenceEvaluator:
         flat, lens = arena.gather(rows)
         if lens.size == 0:
             return np.zeros(0, dtype=bool)
-        survival = self._survival(flat, vx, vy)
-        if self.early_stopping:
-            return self._decide_early_stop(survival, lens)
-        return self._decide_exact(survival, lens)
-
-    def probabilities_users(
-        self,
-        vx: float,
-        vy: float,
-        arena: PositionArena,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Exact ``Pr_v(o)`` per requested row (counts full evaluations)."""
-        flat, lens = arena.gather(rows)
-        if lens.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        survival = self._survival(flat, vx, vy)
+        dx = flat[:, 0] - vx
+        dy = flat[:, 1] - vy
+        survival = 1.0 - self.pf(np.sqrt(dx * dx + dy * dy))
         seg_starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
         q = np.multiply.reduceat(survival, seg_starts)
-        self.stats.full_evaluations += lens.size
-        self.stats.positions_touched += int(survival.shape[0])
-        return 1.0 - q
+        self._account(lens.size, survival.size)
+        return q <= 1.0 - self.tau
 
-    # ------------------------------------------------------------------
-    # One user vs. many facilities
-    # ------------------------------------------------------------------
     def influences_facilities(
         self, xy: np.ndarray, positions: np.ndarray
     ) -> np.ndarray:
@@ -245,100 +208,13 @@ class BatchInfluenceEvaluator:
         xy = np.asarray(xy, dtype=np.float64)
         if xy.size == 0:
             return np.zeros(0, dtype=bool)
-        n = xy.shape[0]
-        r = positions.shape[0]
         dx = positions[None, :, 0] - xy[:, 0, None]
         dy = positions[None, :, 1] - xy[:, 1, None]
         survival = 1.0 - self.pf(np.sqrt(dx * dx + dy * dy))
-        target = 1.0 - self.tau
-        chain = np.cumprod(survival, axis=1)
-        if not self.early_stopping:
-            self.stats.full_evaluations += n
-            self.stats.positions_touched += n * r
-            return chain[:, -1] <= target
-        pos_hit = chain <= target
-        neg_hit = chain * self._powers(r)[r - 1 :: -1] > target
-        first = (pos_hit | neg_hit).argmax(axis=1)
-        decisions = pos_hit[np.arange(n), first]
-        touched = first + 1
-        self._account_early_stop(decisions, touched, np.full(n, r, dtype=np.int64))
-        return decisions
-
-    # ------------------------------------------------------------------
-    # Kernel internals
-    # ------------------------------------------------------------------
-    def _survival(self, flat: np.ndarray, vx: float, vy: float) -> np.ndarray:
-        dx = flat[:, 0] - vx
-        dy = flat[:, 1] - vy
-        return 1.0 - self.pf(np.sqrt(dx * dx + dy * dy))
-
-    def _decide_exact(self, survival: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        seg_starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        q = np.multiply.reduceat(survival, seg_starts)
-        self.stats.full_evaluations += lens.size
-        self.stats.positions_touched += int(survival.shape[0])
+        q = np.multiply.reduce(survival, axis=1)
+        self._account(xy.shape[0], survival.size)
         return q <= 1.0 - self.tau
 
-    def _decide_early_stop(self, survival: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        """Early-stop decisions + accounting over packed segments.
-
-        Segments are scattered into padded ``(rows, width)`` matrices; the
-        row-wise cumprod of a padded row equals the 1-D cumprod of the
-        segment bitwise, and the first index where either certificate
-        fires yields the decision and the touched count, exactly as the
-        scalar scanner would.  Rows are grouped into power-of-two length
-        bands (further bounded by ``_CHUNK_ELEMENTS``) so padding waste
-        stays under 2× even when a few long histories share a batch with
-        many short ones; grouping only reorders independent rows, so the
-        per-row arithmetic — and therefore every decision and counter —
-        is unchanged.
-        """
-        n = lens.size
-        target = 1.0 - self.tau
-        offsets = np.concatenate(([0], np.cumsum(lens)))
-        decisions = np.empty(n, dtype=bool)
-        touched = np.empty(n, dtype=np.int64)
-        order = np.argsort(lens, kind="stable")
-        sorted_lens = lens[order]
-        max_len = int(sorted_lens[-1])
-        band_edges = np.unique(
-            np.concatenate(
-                (
-                    [0, n],
-                    np.searchsorted(sorted_lens, 2 ** np.arange(1, max_len.bit_length())),
-                )
-            )
-        )
-        for band_a, band_b in zip(band_edges[:-1], band_edges[1:]):
-            width = int(sorted_lens[band_b - 1])
-            rows_per_chunk = max(1, _CHUNK_ELEMENTS // width)
-            for a in range(band_a, band_b, rows_per_chunk):
-                b = min(band_b, a + rows_per_chunk)
-                rows = order[a:b]
-                ls = lens[rows]
-                starts = offsets[rows]
-                out_starts = np.concatenate(([0], np.cumsum(ls)[:-1]))
-                idx = np.repeat(starts - out_starts, ls) + np.arange(int(ls.sum()))
-                cols = np.arange(width)
-                valid = cols[None, :] < ls[:, None]
-                mat = np.ones((b - a, width))
-                mat[valid] = survival[idx]
-                chain = np.cumprod(mat, axis=1)
-                rem = ls[:, None] - 1 - cols[None, :]
-                bound = chain * self._powers(width)[np.where(rem >= 0, rem, 0)]
-                pos_hit = (chain <= target) & valid
-                hit = pos_hit | ((bound > target) & valid)
-                first = hit.argmax(axis=1)
-                decisions[rows] = pos_hit[np.arange(b - a), first]
-                touched[rows] = first + 1
-        self._account_early_stop(decisions, touched, lens)
-        return decisions
-
-    def _account_early_stop(
-        self, decisions: np.ndarray, touched: np.ndarray, lens: np.ndarray
-    ) -> None:
-        self.stats.early_stop_evaluations += decisions.size
-        self.stats.positions_touched += int(touched.sum())
-        early = touched < lens
-        self.stats.early_stops_positive += int(np.count_nonzero(decisions & early))
-        self.stats.early_stops_negative += int(np.count_nonzero(~decisions & early))
+    def _account(self, pairs: int, positions: int) -> None:
+        self.stats.full_evaluations += pairs
+        self.stats.positions_touched += positions

@@ -31,9 +31,9 @@ from .probability import ProbabilityFunction
 def survival_powers(min_survival: float, n: int) -> np.ndarray:
     """Table of ``min_survival ** e`` for ``e = 0 .. n − 1``.
 
-    Both the scalar early-stopping path and the batched kernel read the
-    negative-certificate bound off this table (never a scalar ``**``),
-    so the two produce bit-identical comparisons against ``1 − τ``.
+    The early-stopping path reads the negative-certificate bound off
+    this table (never a scalar ``**``), so its short-history and blocked
+    paths make bit-identical comparisons against ``1 − τ``.
     """
     return np.power(min_survival, np.arange(n, dtype=np.float64))
 

@@ -302,12 +302,7 @@ def _handle_resolve(
     lo, hi = state.lo, state.hi
     rows = np.arange(lo, hi, dtype=np.int64)
     stats = EvaluationStats()
-    batch = BatchInfluenceEvaluator(
-        payload["pf"],
-        payload["tau"],
-        early_stopping=payload["early_stopping"],
-        stats=stats,
-    )
+    batch = BatchInfluenceEvaluator(payload["pf"], payload["tau"], stats=stats)
     cand_ids: Tuple[int, ...] = tuple(payload["cand_ids"])
     cand_xy: np.ndarray = payload["cand_xy"]
     fac_xy: np.ndarray = payload["fac_xy"]
@@ -630,7 +625,6 @@ class ShardCoordinator:
         snapshot: DatasetSnapshot,
         tau: float,
         pf: Any,
-        early_stopping: bool = True,
     ) -> bool:
         """Ensure workers hold a resolved shard state for this config.
 
@@ -641,7 +635,7 @@ class ShardCoordinator:
         """
         with self._lock:
             self._check_open()
-            config = (snapshot.content_hash, pf.cache_key(), float(tau), early_stopping)
+            config = (snapshot.content_hash, pf.cache_key(), float(tau))
             if config == self._config:
                 return False
             t0 = time.perf_counter()
@@ -660,7 +654,6 @@ class ShardCoordinator:
                 {
                     "pf": pf,
                     "tau": float(tau),
-                    "early_stopping": early_stopping,
                     "cand_ids": cand_ids,
                     "cand_xy": cand_xy,
                     "fac_xy": fac_xy,

@@ -24,7 +24,6 @@ from ..exceptions import SolverError
 from ..influence import (
     BatchInfluenceEvaluator,
     EvaluationStats,
-    InfluenceEvaluator,
     ProbabilityFunction,
     paper_default_pf,
 )
@@ -128,7 +127,6 @@ def patch_resolution(
     removed_uids: Tuple[int, ...],
     tau: float,
     pf: ProbabilityFunction,
-    early_stopping: bool = True,
 ) -> Tuple[ResolvedInstance, Dict[int, Set[int]]]:
     """Re-resolve only the dirty user rows of a previously resolved table.
 
@@ -180,7 +178,7 @@ def patch_resolution(
         if uid not in doomed
     }
 
-    batch = BatchInfluenceEvaluator(pf, tau, early_stopping=early_stopping)
+    batch = BatchInfluenceEvaluator(pf, tau)
     added_cover: Dict[int, Set[int]] = {}
     with timer.mark("patch"):
         cand_xy = np.array(
@@ -266,15 +264,14 @@ class Solver(ABC):
 
 def resolve_all_pairs(
     dataset: SpatialDataset,
-    evaluator: InfluenceEvaluator,
+    batch: BatchInfluenceEvaluator,
 ) -> Tuple[Dict[int, Set[int]], Dict[int, Set[int]]]:
     """Brute-force resolution of every ``(facility, user)`` relationship.
 
-    Shared by the baseline and exact solvers.  ``evaluator`` names the
-    ``(PF, τ)`` configuration and early-stopping mode and receives the
-    counters; the decisions run through the batched kernel, one
-    vectorised pass per abstract facility over the dataset's position
-    arena, with the scalar evaluator's per-pair accounting.
+    Shared by the baseline and exact solvers.  ``batch`` names the
+    ``(PF, τ)`` configuration and receives the counters; the decisions
+    take one vectorised pass per abstract facility over the dataset's
+    position arena.
 
     Returns:
         ``(omega_c, f_o)`` — candidate coverage sets and per-user
@@ -282,12 +279,6 @@ def resolve_all_pairs(
     """
     f_o: Dict[int, Set[int]] = {u.uid: set() for u in dataset.users}
     arena = dataset.arena
-    batch = BatchInfluenceEvaluator(
-        evaluator.pf,
-        evaluator.tau,
-        early_stopping=evaluator.early_stopping,
-        stats=evaluator.stats,
-    )
     omega_c = {
         c.fid: set(arena.uids[batch.influences_users(c.x, c.y, arena)].tolist())
         for c in dataset.candidates

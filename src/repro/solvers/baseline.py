@@ -13,7 +13,11 @@ from typing import Optional
 
 from ..competition import InfluenceTable
 from ..entities import SpatialDataset
-from ..influence import InfluenceEvaluator, ProbabilityFunction, paper_default_pf
+from ..influence import (
+    BatchInfluenceEvaluator,
+    ProbabilityFunction,
+    paper_default_pf,
+)
 from .base import (
     MC2LSProblem,
     PhaseTimer,
@@ -72,11 +76,9 @@ class BaselineGreedySolver(Solver):
         tau: float,
         pf: ProbabilityFunction,
     ) -> ResolvedInstance:
-        # The baseline deliberately skips early stopping: it represents the
-        # no-optimisation yardstick of the paper's complexity analysis.
-        evaluator = InfluenceEvaluator(pf, tau, early_stopping=False)
+        batch = BatchInfluenceEvaluator(pf, tau)
         with timer.mark("influence"):
-            omega_c, f_o = resolve_all_pairs(dataset, evaluator)
+            omega_c, f_o = resolve_all_pairs(dataset, batch)
         return ResolvedInstance(
-            table=InfluenceTable(omega_c, f_o), evaluation=evaluator.stats
+            table=InfluenceTable(omega_c, f_o), evaluation=batch.stats
         )

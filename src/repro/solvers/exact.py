@@ -16,7 +16,7 @@ import numpy as np
 
 from ..competition import InfluenceTable, cinf_group
 from ..exceptions import SolverError
-from ..influence import InfluenceEvaluator
+from ..influence import BatchInfluenceEvaluator
 from .base import (
     MC2LSProblem,
     PhaseTimer,
@@ -60,10 +60,10 @@ class ExactSolver(Solver):
                 "instances only"
             )
         timer = PhaseTimer()
-        evaluator = InfluenceEvaluator(problem.pf, problem.tau, early_stopping=False)
+        batch = BatchInfluenceEvaluator(problem.pf, problem.tau)
 
         with timer.mark("influence"):
-            omega_c, f_o = resolve_all_pairs(dataset, evaluator)
+            omega_c, f_o = resolve_all_pairs(dataset, batch)
         table = InfluenceTable(omega_c, f_o)
 
         with timer.mark("enumeration"):
@@ -76,7 +76,7 @@ class ExactSolver(Solver):
             objective=best_value,
             table=table,
             timings=timer.finish(),
-            evaluation=evaluator.stats,
+            evaluation=batch.stats,
         )
 
     # ------------------------------------------------------------------

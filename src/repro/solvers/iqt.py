@@ -10,8 +10,8 @@ Four phases:
    (Algorithm 2, lines 5–12).  The IQT-PINO variant also applies the IA
    confirmation; plain IQT skips IA because the IS rule subsumes it at
    lower cost (Table I); IQT-C skips NIB entirely.
-3. **Verification** — exact influence decision with the PINOCCHIO early
-   stopping strategy for every surviving pair (line 14).
+3. **Verification** — exact influence decision for every surviving pair
+   (line 14), one segmented survival product per pair.
 4. **Greedy selection** — the shared ``(1 − 1/e)`` greedy.
 
 Between the traversal and the influence table, each facility's confirmed
@@ -74,8 +74,6 @@ class IQTSolver(Solver):
     Args:
         d_hat: Leaf diagonal ``d̂`` of the IQuad-tree, km (paper default 2).
         variant: Which classical rules to combine with IS/NIR.
-        early_stopping: Use the PINOCCHIO early-stopping verification
-            (Algorithm 2 line 14); on by default as in the paper.
         exact_rounded: Tighten the NIR rule from the rounded square's MBR
             to the exact rounded square (ablation knob; paper uses MBR).
     """
@@ -84,12 +82,10 @@ class IQTSolver(Solver):
         self,
         d_hat: float = 2.0,
         variant: IQTVariant = IQTVariant.IQT,
-        early_stopping: bool = True,
         exact_rounded: bool = False,
     ):
         self.d_hat = d_hat
         self.variant = variant
-        self.early_stopping = early_stopping
         self.exact_rounded = exact_rounded
         self.name = variant.value
 
@@ -133,7 +129,7 @@ class IQTSolver(Solver):
         tau: float,
         pf: ProbabilityFunction,
     ) -> ResolvedInstance:
-        batch = BatchInfluenceEvaluator(pf, tau, early_stopping=self.early_stopping)
+        batch = BatchInfluenceEvaluator(pf, tau)
         arena = dataset.arena
         facilities = dataset.abstract_facilities
         n_cand = len(dataset.candidates)

@@ -30,17 +30,11 @@ from .selection import run_selection
 class AdaptedKCIFPSolver(Solver):
     """IA/NIB facility pruning + exact verification + greedy selection.
 
-    Args:
-        early_stopping: Algorithm 1 verifies with the plain cumulative
-            probability (Definition 2), so the default is ``False``; pass
-            ``True`` to give the baseline competitor the PINOCCHIO early
-            stopping as well (an ablation knob).
+    Algorithm 1 verifies each interstitial pair with the plain cumulative
+    probability (Definition 2), one scalar call per pair.
     """
 
     name = "k-cifp"
-
-    def __init__(self, early_stopping: bool = False):
-        self.early_stopping = early_stopping
 
     def solve(self, problem: MC2LSProblem) -> SolverResult:
         timer = PhaseTimer()
@@ -81,7 +75,7 @@ class AdaptedKCIFPSolver(Solver):
         tau: float,
         pf: ProbabilityFunction,
     ) -> ResolvedInstance:
-        evaluator = InfluenceEvaluator(pf, tau, early_stopping=self.early_stopping)
+        evaluator = InfluenceEvaluator(pf, tau, early_stopping=False)
         pruning = PruningStats()
 
         with timer.mark("index"):

@@ -101,7 +101,6 @@ class StreamingMC2LS:
         tau: Influence threshold.
         pf: Distance-decay probability function (paper default when
             ``None``).
-        early_stopping: Verification strategy for interstitial pairs.
 
     Each arriving user is verified against all its interstitial
     facilities in one batched kernel call; selection queries run through
@@ -115,7 +114,6 @@ class StreamingMC2LS:
         k: int,
         tau: float = 0.7,
         pf: Optional[ProbabilityFunction] = None,
-        early_stopping: bool = True,
     ):
         if k < 1 or k > len(candidates):
             raise SolverError(f"k={k} infeasible for {len(candidates)} candidates")
@@ -124,9 +122,7 @@ class StreamingMC2LS:
         self.pf = pf or paper_default_pf()
         self.facilities = tuple(facilities)
         self.candidates = tuple(candidates)
-        self._batch = BatchInfluenceEvaluator(
-            self.pf, tau, early_stopping=early_stopping
-        )
+        self._batch = BatchInfluenceEvaluator(self.pf, tau)
         self._pruner_c = PinocchioPruner(self.candidates, tau, self.pf)
         self._pruner_f = PinocchioPruner(self.facilities, tau, self.pf)
         self._users: Dict[int, MovingUser] = {}

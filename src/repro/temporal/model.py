@@ -120,8 +120,8 @@ class TimedUser:
 class TimedInfluenceEvaluator:
     """Influence decisions restricted to a facility's opening window."""
 
-    def __init__(self, pf: ProbabilityFunction, tau: float, early_stopping: bool = True):
-        self._inner = InfluenceEvaluator(pf, tau, early_stopping=early_stopping)
+    def __init__(self, pf: ProbabilityFunction, tau: float):
+        self._inner = InfluenceEvaluator(pf, tau)
 
     @property
     def stats(self):

@@ -6,7 +6,9 @@ selects.  The loops here decide the same pairs and pick the same sites
 one scalar call at a time, the way the paper states the algorithms.
 The suites assert that the production path equals them: influence
 tables, ``EvaluationStats``, ``PruningStats``, selections, gains and
-objective.
+objective.  Verification oracles use the scalar full-scan evaluator
+(``early_stopping=False``), the path the batched kernel mirrors decision
+for decision and counter for counter.
 
 Nothing outside ``tests/`` imports this module.  The scalar greedy
 (:func:`repro.solvers.greedy_select`) and the scalar evaluator
@@ -76,10 +78,9 @@ def scalar_patch_resolution(
     removed_uids: Sequence[int],
     tau: float,
     pf=PF,
-    early_stopping: bool = True,
 ) -> ResolvedInstance:
     """``patch_resolution`` with each dirty user decided pair by pair."""
-    evaluator = InfluenceEvaluator(pf, tau, early_stopping=early_stopping)
+    evaluator = InfluenceEvaluator(pf, tau, early_stopping=False)
     users = {u.uid: u for u in dataset.users}
     doomed = set(dirty_uids) | set(removed_uids)
     omega_c = {cid: uids - doomed for cid, uids in parent.table.omega_c.items()}
@@ -103,7 +104,6 @@ def reference_iqt_resolve(
     pf=PF,
     variant: IQTVariant = IQTVariant.IQT,
     d_hat: float = 2.0,
-    early_stopping: bool = True,
     exact_rounded: bool = False,
     batch_verify: bool = False,
 ) -> ResolvedInstance:
@@ -115,7 +115,7 @@ def reference_iqt_resolve(
     verified one scalar call per pair, or through the batched kernel
     when ``batch_verify`` is set.
     """
-    evaluator = InfluenceEvaluator(pf, tau, early_stopping=early_stopping)
+    evaluator = InfluenceEvaluator(pf, tau, early_stopping=False)
     tree = IQuadTree(
         dataset.users,
         d_hat=d_hat,
@@ -156,9 +156,7 @@ def reference_iqt_resolve(
 
     users_by_uid = {u.uid: u for u in dataset.users}
     arena = dataset.arena
-    batch = BatchInfluenceEvaluator(
-        pf, tau, early_stopping=early_stopping, stats=evaluator.stats
-    )
+    batch = BatchInfluenceEvaluator(pf, tau, stats=evaluator.stats)
 
     def verify(v, uids):
         if batch_verify:
@@ -194,10 +192,7 @@ class ScalarStreamingMC2LS(StreamingMC2LS):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._scalar = InfluenceEvaluator(
-            self.pf,
-            self.tau,
-            early_stopping=self._batch.early_stopping,
-            stats=self._batch.stats,
+            self.pf, self.tau, early_stopping=False, stats=self._batch.stats
         )
 
     def _verify_interstitial(self, facilities, user) -> Set[int]:
@@ -224,7 +219,6 @@ def reference_resolve(
             pf,
             variant=solver.variant,
             d_hat=solver.d_hat,
-            early_stopping=solver.early_stopping,
             exact_rounded=solver.exact_rounded,
         )
     if isinstance(solver, BaselineGreedySolver):

@@ -14,7 +14,7 @@ from repro.capture import (
 )
 from repro.competition import InfluenceTable
 from repro.exceptions import CaptureError
-from repro.influence import InfluenceEvaluator
+from repro.influence import BatchInfluenceEvaluator
 from repro.solvers.base import resolve_all_pairs
 from tests.conftest import build_instance
 from tests.oracles import scalar_best_response
@@ -24,7 +24,7 @@ from tests.oracles import scalar_best_response
 def instance():
     dataset = build_instance(seed=21, n_users=50, n_candidates=14, n_facilities=6)
     pf = paper_default_pf()
-    ev = InfluenceEvaluator(pf, 0.6)
+    ev = BatchInfluenceEvaluator(pf, 0.6)
     omega_c, f_o = resolve_all_pairs(dataset, ev)
     table = InfluenceTable.from_mappings(omega_c, f_o)
     return dataset, pf, table, sorted(omega_c)

@@ -27,7 +27,7 @@ from repro.capture import (
     evenly_split_capture,
 )
 from repro.competition import InfluenceTable
-from repro.influence import InfluenceEvaluator
+from repro.influence import BatchInfluenceEvaluator
 from repro.solvers import (
     AdaptedKCIFPSolver,
     BaselineGreedySolver,
@@ -47,7 +47,7 @@ SOLVER_FACTORIES = {
 
 
 def _table_for(dataset, tau=0.7):
-    ev = InfluenceEvaluator(paper_default_pf(), tau)
+    ev = BatchInfluenceEvaluator(paper_default_pf(), tau)
     omega_c, f_o = resolve_all_pairs(dataset, ev)
     return InfluenceTable.from_mappings(omega_c, f_o), sorted(omega_c)
 

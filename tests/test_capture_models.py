@@ -19,13 +19,13 @@ from repro.capture import (
 )
 from repro.competition import EvenlySplitModel, InfluenceTable, cinf_group
 from repro.exceptions import CaptureError, SolverError
-from repro.influence import InfluenceEvaluator
+from repro.influence import BatchInfluenceEvaluator
 from repro.solvers.base import resolve_all_pairs
 from tests.conftest import build_instance
 
 
 def resolved_table(dataset, tau=0.7, pf=None):
-    ev = InfluenceEvaluator(pf or paper_default_pf(), tau)
+    ev = BatchInfluenceEvaluator(pf or paper_default_pf(), tau)
     omega_c, f_o = resolve_all_pairs(dataset, ev)
     return InfluenceTable.from_mappings(omega_c, f_o), sorted(omega_c)
 

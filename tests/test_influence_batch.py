@@ -3,15 +3,15 @@
 The contract under test (see ``repro/influence/batch.py``): for every
 ``PF`` variant, every ``τ``, and every user geometry — single positions,
 positions at exactly distance 0, histories longer than the scalar
-fast-path cutoff — the batch kernel's decisions and probabilities are
-*bit-identical* to the scalar evaluator's, and its
-:class:`EvaluationStats` counters equal the scalar path's pair-by-pair
-accounting exactly.
+fast-path cutoff — the batch kernel's decisions are *bit-identical* to
+the scalar full-scan evaluator's and equal the scalar early-stopping
+evaluator's, and its :class:`EvaluationStats` counters equal the scalar
+full-scan path's pair-by-pair accounting exactly.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,6 +35,18 @@ PF_VARIANTS = [
     PowerLawPF(p0=0.9, scale=1.0, alpha=2.0),
 ]
 TAUS = (0.3, 0.7, 0.95)
+
+
+def _scalar_pair(pf, tau, early_stopping):
+    """The scalar evaluator in the given mode, plus the full-scan one.
+
+    The batch kernel's decisions must equal the first; its counters
+    always equal the second's.
+    """
+    return (
+        InfluenceEvaluator(pf, tau, early_stopping=early_stopping),
+        InfluenceEvaluator(pf, tau, early_stopping=False),
+    )
 
 
 def _population(seed: int, n_users: int = 120) -> list:
@@ -65,30 +77,19 @@ class TestDifferentialAgainstScalar:
     def test_decisions_and_stats(self, pf, tau, early_stopping):
         users = _population(seed=1)
         arena = PositionArena.from_users(users)
-        scalar = InfluenceEvaluator(pf, tau, early_stopping=early_stopping)
+        scalar, full = _scalar_pair(pf, tau, early_stopping)
         expected = np.array(
             [scalar.influences(*FACILITY, u.positions) for u in users]
         )
-        batch = BatchInfluenceEvaluator(pf, tau, early_stopping=early_stopping)
+        for u in users:
+            full.influences(*FACILITY, u.positions)
+        batch = BatchInfluenceEvaluator(pf, tau)
         got = batch.influences_users(*FACILITY, arena)
         assert np.array_equal(expected, got)
         assert batch.stats.total_evaluations == scalar.stats.total_evaluations
-        # The full counter set, not just the total: the batch kernel must
-        # account per-segment stop points identically to the scalar scan.
-        assert batch.stats.__dict__ == scalar.stats.__dict__
-
-    @pytest.mark.parametrize("pf", PF_VARIANTS, ids=repr)
-    def test_probabilities_bitwise(self, pf):
-        users = _population(seed=2)
-        arena = PositionArena.from_users(users)
-        scalar = InfluenceEvaluator(pf, 0.7)
-        expected = np.array(
-            [scalar.probability(*FACILITY, u.positions) for u in users]
-        )
-        batch = BatchInfluenceEvaluator(pf, 0.7)
-        got = batch.probabilities_users(*FACILITY, arena)
-        assert np.array_equal(expected, got)  # bitwise, not approx
-        assert batch.stats.__dict__ == scalar.stats.__dict__
+        # The full counter set, not just the total: every pair is one
+        # full evaluation touching all of the user's positions.
+        assert batch.stats.__dict__ == full.stats.__dict__
 
     @pytest.mark.parametrize("pf", PF_VARIANTS, ids=repr)
     @pytest.mark.parametrize("early_stopping", [True, False])
@@ -97,14 +98,16 @@ class TestDifferentialAgainstScalar:
         rng = np.random.default_rng(3)
         xy = rng.uniform(-6, 6, (80, 2))
         for user in (_population(seed=3, n_users=8))[:8]:
-            scalar = InfluenceEvaluator(pf, 0.6, early_stopping=early_stopping)
+            scalar, full = _scalar_pair(pf, 0.6, early_stopping)
             expected = np.array(
                 [scalar.influences(x, y, user.positions) for x, y in xy]
             )
-            batch = BatchInfluenceEvaluator(pf, 0.6, early_stopping=early_stopping)
+            for x, y in xy:
+                full.influences(x, y, user.positions)
+            batch = BatchInfluenceEvaluator(pf, 0.6)
             got = batch.influences_facilities(xy, user.positions)
             assert np.array_equal(expected, got)
-            assert batch.stats.__dict__ == scalar.stats.__dict__
+            assert batch.stats.__dict__ == full.stats.__dict__
 
     def test_row_subsets_arbitrary_order(self):
         users = _population(seed=4)
@@ -141,16 +144,51 @@ class TestDifferentialAgainstScalar:
         user = MovingUser(0, pos)
         arena = PositionArena.from_users([user])
         for early_stopping in (True, False):
-            scalar = InfluenceEvaluator(
-                paper_default_pf(), tau, early_stopping=early_stopping
-            )
-            batch = BatchInfluenceEvaluator(
-                paper_default_pf(), tau, early_stopping=early_stopping
-            )
+            scalar, full = _scalar_pair(paper_default_pf(), tau, early_stopping)
+            batch = BatchInfluenceEvaluator(paper_default_pf(), tau)
             expected = scalar.influences(vx, vy, user.positions)
+            full.influences(vx, vy, user.positions)
             got = batch.influences_users(vx, vy, arena)
             assert got.tolist() == [expected]
-            assert batch.stats.__dict__ == scalar.stats.__dict__
+            assert batch.stats.__dict__ == full.stats.__dict__
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.just((0.0, 0.0)),  # exactly on the facility
+                st.tuples(
+                    st.floats(min_value=-4, max_value=4),
+                    st.floats(min_value=-4, max_value=4),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from(PF_VARIANTS),
+        st.integers(min_value=-4, max_value=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_boundary_within_ulps(self, points, pf, ulps):
+        """τ within a few ulps of ``1 − Π(1 − PF(d))``: the boundary call.
+
+        The batch decision must equal the scalar full scan (decision and
+        counters) and the scalar early-stopping scan, whose certificates
+        are tightest exactly here.
+        """
+        pos = np.array(points, dtype=np.float64)
+        d = np.sqrt(pos[:, 0] * pos[:, 0] + pos[:, 1] * pos[:, 1])
+        tau = 1.0 - float(np.prod(1.0 - pf(d)))
+        step = 2.0 if ulps > 0 else -1.0
+        for _ in range(abs(ulps)):
+            tau = float(np.nextafter(tau, step))
+        assume(0.0 < tau < 1.0)
+        arena = PositionArena.from_users([MovingUser(0, pos)])
+        early, full = _scalar_pair(pf, tau, True)
+        batch = BatchInfluenceEvaluator(pf, tau)
+        got = batch.influences_users(0.0, 0.0, arena).tolist()
+        assert got == [full.influences(0.0, 0.0, pos)]
+        assert got == [early.influences(0.0, 0.0, pos)]
+        assert batch.stats.__dict__ == full.stats.__dict__
 
 
 class TestArena:
@@ -253,3 +291,43 @@ class TestSolverLevelIdentity:
         assert fast.table().omega_c == slow.table().omega_c
         assert fast.table().f_o == slow.table().f_o
         assert fast._batch.stats.__dict__ == slow._batch.stats.__dict__
+
+    def test_production_resolvers_never_early_stop(self):
+        """Every production resolver decides on full products: its
+        counters hold full evaluations only, never an early stop."""
+        from repro.service import ShardCoordinator
+        from repro.service.snapshot import DatasetSnapshot
+        from repro.solvers import (
+            BaselineGreedySolver,
+            ExactSolver,
+            IQTSolver,
+            IQTVariant,
+            patch_resolution,
+        )
+        from repro.streaming import StreamingMC2LS
+
+        problem = self._problem()
+        ds, tau, pf = problem.dataset, problem.tau, problem.pf
+        stats = {
+            v.value: IQTSolver(variant=v).solve(problem).evaluation
+            for v in IQTVariant
+        }
+        stats["baseline"] = BaselineGreedySolver().solve(problem).evaluation
+        stats["exact"] = ExactSolver().solve(problem).evaluation
+        parent = IQTSolver().resolve(ds, tau, pf)
+        dirty = tuple(u.uid for u in ds.users[:5])
+        patched, _ = patch_resolution(parent, ds, dirty, (), tau, pf)
+        stats["patch"] = patched.evaluation
+        session = StreamingMC2LS.from_dataset(ds, k=problem.k, tau=tau)
+        stats["streaming"] = session._batch.stats
+        with ShardCoordinator(2) as coord:
+            coord.prepare(DatasetSnapshot(ds), tau, pf)
+            stats["sharded"] = coord.stats
+        for name, s in stats.items():
+            assert s.full_evaluations > 0, name
+            assert (
+                s.early_stop_evaluations
+                == s.early_stops_positive
+                == s.early_stops_negative
+                == 0
+            ), name

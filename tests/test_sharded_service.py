@@ -13,7 +13,7 @@ import pytest
 from tests.conftest import build_instance
 from repro.competition import InfluenceTable
 from repro.exceptions import ServiceError, ShardError, SolverError
-from repro.influence import InfluenceEvaluator, paper_default_pf
+from repro.influence import BatchInfluenceEvaluator, paper_default_pf
 from repro.service import (
     SOLVER_FACTORIES,
     SelectionEngine,
@@ -51,7 +51,7 @@ def snapshot(instance):
 
 
 def _reference_matrix(dataset, tau=TAU):
-    ev = InfluenceEvaluator(paper_default_pf(), tau)
+    ev = BatchInfluenceEvaluator(paper_default_pf(), tau)
     omega, f_o = resolve_all_pairs(dataset, ev)
     table = InfluenceTable.from_mappings(omega, f_o)
     cids = sorted(c.fid for c in dataset.candidates)

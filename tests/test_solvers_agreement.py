@@ -22,24 +22,15 @@ from tests.conftest import build_instance
 ALL_SOLVERS = [
     BaselineGreedySolver(),
     AdaptedKCIFPSolver(),
-    AdaptedKCIFPSolver(early_stopping=True),
     IQTSolver(variant=IQTVariant.IQT),
     IQTSolver(variant=IQTVariant.IQT_C),
     IQTSolver(variant=IQTVariant.IQT_PINO),
     IQTSolver(variant=IQTVariant.IQT, exact_rounded=True),
-    IQTSolver(variant=IQTVariant.IQT, early_stopping=False),
 ]
 
 
 def solver_id(s):
-    extras = []
-    if getattr(s, "early_stopping", None) is True and s.name == "k-cifp":
-        extras.append("es")
-    if getattr(s, "exact_rounded", False):
-        extras.append("exact")
-    if getattr(s, "early_stopping", True) is False:
-        extras.append("noes")
-    return s.name + ("-" + "-".join(extras) if extras else "")
+    return s.name + ("-exact" if getattr(s, "exact_rounded", False) else "")
 
 
 @pytest.mark.parametrize("clustered", [False, True], ids=["uniform", "skewed"])

@@ -16,13 +16,14 @@ both, so neither comparison can rot.
 
 import argparse
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.bench.datasets import DEFAULT_D_HAT, DEFAULT_TAU, dataset
-from repro.bench.timing import repeat_timed
+from repro.bench.timing import TimingSample, repeat_timed
 from repro.entities import MovingUser
 from repro.geo import Rect
 from repro.influence import (
@@ -44,7 +45,7 @@ def c_dataset():
 @pytest.fixture(scope="module")
 def iqt(c_dataset):
     return IQuadTree(
-        c_dataset.users, DEFAULT_D_HAT, DEFAULT_TAU, paper_default_pf(), c_dataset.region
+        c_dataset.arena, DEFAULT_D_HAT, DEFAULT_TAU, paper_default_pf(), c_dataset.region
     )
 
 
@@ -129,20 +130,51 @@ def _verification_population(n_users: int, seed: int = 0) -> list:
     return users
 
 
+_MIN_REPEAT_S = 0.020
+
+
+def _per_pass_timed(fn, repeats: int):
+    """Time ``fn`` over ``repeats`` repeats of a fixed inner loop of passes.
+
+    Untimed sizing runs double the loop until one lasts at least 20 ms
+    (they also warm the path).  Each timed repeat then runs that many
+    passes, and the sample records seconds per pass, so one scheduler
+    hiccup moves a sub-millisecond pass's repeat by a fraction only.
+    Returns the per-pass sample and the number of passes per repeat.
+    """
+
+    def loop(passes):
+        for _ in range(passes):
+            result = fn()
+        return result
+
+    passes = 1
+    while True:
+        t0 = time.perf_counter()
+        loop(passes)
+        if time.perf_counter() - t0 >= _MIN_REPEAT_S:
+            break
+        passes *= 2
+    sample = repeat_timed(lambda: loop(passes), repeats)
+    return TimingSample(tuple(t / passes for t in sample.times), sample.result), passes
+
+
 def run_batch_verify_benchmark(
-    n_users: int = 1200, repeats: int = 3, out_path: Path = None
+    n_users: int = 1200, repeats: int = 5, out_path: Path = None
 ) -> dict:
     """Time the scalar loop against the batch kernel on one big batch.
 
     The scalar reference is the full-scan evaluator
     (``early_stopping=False``), the path the batch kernel is
-    bit-identical to in decisions and counters.  Each path runs once
-    untimed first, so no cold first repeat widens the spread.
+    bit-identical to in decisions and counters.  Each timed repeat runs
+    a fixed inner loop of passes lasting at least 20 ms
+    (:func:`_per_pass_timed`).
 
     Returns (and writes to ``out_path``) the recorded trajectory point:
-    median-of-``repeats`` wall-clock for both paths (with the min/max
-    spread recorded under ``timings``), the speedup, and a bit-identity
-    check of the decisions and counters.
+    the per-pass median over ``repeats`` for both paths (with the per-pass
+    min/max spread and the passes per repeat recorded under
+    ``timings``), the speedup, and a bit-identity check of the decisions
+    and counters.
     """
     users = _verification_population(n_users)
     arena = PositionArena.from_users(users)
@@ -157,10 +189,8 @@ def run_batch_verify_benchmark(
         ev = BatchInfluenceEvaluator(pf, DEFAULT_TAU)
         return ev.influences_users(vx, vy, arena), ev.stats
 
-    scalar_pass()
-    scalar = repeat_timed(scalar_pass, repeats)
-    batch_pass()
-    batch = repeat_timed(batch_pass, repeats)
+    scalar, scalar_passes = _per_pass_timed(scalar_pass, repeats)
+    batch, batch_passes = _per_pass_timed(batch_pass, repeats)
     scalar_dec, scalar_stats = scalar.result
     batch_dec, batch_stats = batch.result
     payload = {
@@ -170,7 +200,10 @@ def run_batch_verify_benchmark(
         "scalar_s": scalar.median_s,
         "batch_s": batch.median_s,
         "speedup": scalar.median_s / batch.median_s,
-        "timings": {"scalar": scalar.summary(), "batch": batch.summary()},
+        "timings": {
+            "scalar": {**scalar.summary(), "passes_per_repeat": scalar_passes},
+            "batch": {**batch.summary(), "passes_per_repeat": batch_passes},
+        },
         "decisions_equal": bool(np.array_equal(scalar_dec, batch_dec)),
         "stats_equal": scalar_stats.__dict__ == batch_stats.__dict__,
         "influenced": int(batch_dec.sum()),

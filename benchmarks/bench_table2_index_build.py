@@ -14,9 +14,10 @@ from repro.spatial import IQuadTree
 
 def test_table2_index_build(benchmark):
     ds = dataset("C")
+    arena = ds.arena
 
     def build():
-        return IQuadTree(ds.users, DEFAULT_D_HAT, DEFAULT_TAU, paper_default_pf(), ds.region)
+        return IQuadTree(arena, DEFAULT_D_HAT, DEFAULT_TAU, paper_default_pf(), ds.region)
 
     benchmark(build)
     rows = table2_index_build()

@@ -164,7 +164,11 @@ class InfluenceEvaluator:
 
         At the last position exactly one of the two certificates fires, so
         the decision and the touched-position count are both defined by the
-        first hit.  Both the short-history fast path and the blocked path
+        first hit.  ``positions_touched`` counts that logical stop point
+        (``r' ≤ r``, the metric of the paper's Figs. 15–16), not the work
+        done: for ``r ≤ 128`` the method computes the whole ``cumprod`` and
+        both certificates over all ``r`` positions and only reads the stop
+        point off them.  Both the short-history fast path and the blocked path
         for long histories apply *both* certificates at per-position
         granularity, so the Figs. 15–16 cost counters mean the same thing
         on either side of the ``r = 128`` cutoff; the blocked path chains
@@ -177,9 +181,9 @@ class InfluenceEvaluator:
         r = positions.shape[0]
         target = 1.0 - self.tau
         if r <= 128:
-            # One vectorised pass; the stop point is read off the cumulative
-            # product and gives the honest r' <= r cost accounting the
-            # paper's Figs. 15-16 report.
+            # One vectorised pass over all r positions; the stop point is
+            # read off the cumulative product and counted as r' <= r, the
+            # logical cost the paper's Figs. 15-16 report.
             dx = positions[:, 0] - vx
             dy = positions[:, 1] - vy
             chain = np.cumprod(1.0 - self.pf(np.sqrt(dx * dx + dy * dy)))

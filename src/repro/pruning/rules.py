@@ -22,7 +22,7 @@ import numpy as np
 
 from ..entities import AbstractFacility, MovingUser
 from ..geo import Rect, RoundedSquare, Square
-from ..influence import ProbabilityFunction
+from ..influence import PositionArena, ProbabilityFunction
 from ..spatial.rtree import RTree
 from .regions import UserPruningRegions, regions_for
 from .stats import PruningStats
@@ -175,8 +175,8 @@ def measure_iquadtree_pruning(
     """
     from ..spatial.iquadtree import IQuadTree  # local import avoids a cycle
 
-    tree = IQuadTree(users, d_hat=d_hat, tau=tau, pf=pf, region=region,
-                     exact_rounded=exact_rounded)
+    tree = IQuadTree(PositionArena.from_users(users), d_hat=d_hat, tau=tau,
+                     pf=pf, region=region, exact_rounded=exact_rounded)
     for facility in facilities:
         tree.traverse(facility.x, facility.y)
     stats = PruningStats(

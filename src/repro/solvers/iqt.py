@@ -2,8 +2,8 @@
 
 Four phases:
 
-1. **Pruning** — build the IQuad-tree over the users; traverse it once per
-   abstract facility (memoised per leaf) to split users into
+1. **Pruning** — build the IQuad-tree over the position arena; traverse
+   it once per abstract facility (memoised per leaf) to split users into
    IS-confirmed / NIR-pruned / to-verify.
 2. **NIB integration** (variant-dependent) — each facility's to-verify
    set shrinks to the users whose NIB region contains the facility
@@ -14,9 +14,10 @@ Four phases:
    (line 14), one segmented survival product per pair.
 4. **Greedy selection** — the shared ``(1 − 1/e)`` greedy.
 
-Between the traversal and the influence table, each facility's confirmed
+From the traversal to the influence table, each facility's confirmed
 and to-verify pairs are sorted int64 arrays of arena rows
-(``dataset.arena``), one per facility position.  NIB runs on them as one
+(``dataset.arena``), one per facility position: the tree indexes the
+arena and its traversal returns the rows.  NIB runs on them as one
 numpy pass per facility over per-row MBR and ``mMR`` arrays
 (:class:`~repro.pruning.PruningRegionArrays`); the paper's R-tree range
 query becomes the equivalent NIB-rectangle test.  Distances within a
@@ -32,7 +33,7 @@ competitors' candidate-coverage filter is a boolean row mask.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from ..entities import AbstractFacility, SpatialDataset
 from ..geo import Point
 from ..influence import (
     BatchInfluenceEvaluator,
-    PositionArena,
     ProbabilityFunction,
     paper_default_pf,
 )
@@ -55,9 +55,6 @@ from .base import (
     SolverResult,
 )
 from .selection import run_selection
-
-
-_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 class IQTVariant(enum.Enum):
@@ -136,7 +133,7 @@ class IQTSolver(Solver):
 
         with timer.mark("index"):
             tree = IQuadTree(
-                dataset.users,
+                arena,
                 d_hat=self.d_hat,
                 tau=tau,
                 pf=pf,
@@ -146,24 +143,15 @@ class IQTSolver(Solver):
 
         # Phase 1: IS/NIR pruning via one traversal per abstract facility.
         # From here on a facility's pair sets are sorted arena-row arrays
-        # at its position in ``facilities`` (candidates first).  The tree
-        # caches results per leaf, and co-located facilities share one
-        # conversion.
+        # at its position in ``facilities`` (candidates first); the tree
+        # returns them as such and caches them per leaf.
         confirmed: List[np.ndarray] = []
         to_verify: List[np.ndarray] = []
         with timer.mark("pruning"):
-            by_leaf: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
             for v in facilities:
                 result = tree.traverse(v.x, v.y)
-                leaf = tree.leaf_cell_of(v.x, v.y)
-                rows = by_leaf.get(leaf)
-                if rows is None:
-                    rows = by_leaf[leaf] = (
-                        _sorted_rows(arena, result.influenced),
-                        _sorted_rows(arena, result.to_verify),
-                    )
-                confirmed.append(rows[0])
-                to_verify.append(rows[1])
+                confirmed.append(result.influenced)
+                to_verify.append(result.to_verify)
 
         # Phase 2: optional NIB (and IA) integration.
         if self.variant in (IQTVariant.IQT, IQTVariant.IQT_PINO):
@@ -267,15 +255,6 @@ class IQTSolver(Solver):
             to_verify[i] = np.intersect1d(
                 to_verify[i], inside[~in_ia], assume_unique=True
             )
-
-
-def _sorted_rows(arena: PositionArena, uids: FrozenSet[int]) -> np.ndarray:
-    """Sorted arena rows of a set of user ids."""
-    if not uids:
-        return _NO_ROWS
-    rows = arena.rows_for(np.fromiter(uids, dtype=np.int64, count=len(uids)))
-    rows.sort()
-    return rows
 
 
 def _nib_survivors(

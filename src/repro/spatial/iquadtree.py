@@ -2,47 +2,49 @@
 
 The IQuad-tree partitions the (squared-up) region into a full quad-tree
 whose leaves have diagonal at most ``d̂``.  Because the subdivision always
-quarters squares, every level is a regular ``2^l × 2^l`` grid, and a node
-is identified by the Morton (Z-order) code of its cell.  Truncating a
-Morton code by two bits yields the parent's code, so one global sort of
-all positions by leaf code serves every level of the tree: the node
-occupied by any (level, cell) is a contiguous slice, found by binary
-search.  Construction is therefore a single ``lexsort`` plus one
-``reduceat`` per level — no pointers, no per-node allocation.
+quarters squares, every level is a regular ``2^l × 2^l`` grid: the node
+``(l, nx, ny)`` is the ``2^(depth−l) × 2^(depth−l)`` block of leaf cells
+under it.  The tree is implicit.  Construction is one stable sort of the
+position arena by row-major leaf-cell key (``iy·2^depth + ix``), which
+leaves three aligned arrays — cell key, position and arena row — with
+arena-row order kept inside each cell.  Any block of cells is one
+contiguous slice per cell row, found by binary search.
 
 Per node the structure keeps the paper's entry components:
 
-* ``rect``  — implicit from ``(level, ix, iy)``;
-* ``P``     — per-(node, user) position *counts* (the IS rule only needs
-  counts) plus, at leaves, slices of the globally sorted position array
-  (the NIR rule needs coordinates);
-* ``Ω_inf`` — users IS-confirmed for the node, computed lazily on first
-  traversal and memoised (the paper's ``visited`` flag);
-* ``Ω_vrf`` — at leaves, users surviving the NIR prune, lazily memoised.
+* ``rect``  — implicit from ``(level, nx, ny)``;
+* ``P``     — the node's slices of the sorted arrays (the IS rule counts
+  a user's positions in them, the NIR rule reads their coordinates);
+* ``Ω_inf`` — users IS-confirmed for the node, counted lazily on first
+  traversal with one ``bincount`` over the block's rows and memoised
+  (the paper's ``visited`` flag).  A level whose ``η`` exceeds ``r_max``
+  confirms nobody and costs nothing;
+* ``Ω_vrf`` — at leaves, users with a position inside the NIR region.
 
 The attached *Hash* structure ``{level diagonal -> η}`` is the ``_eta``
 list, giving O(1) position-count thresholds per level.
 
 Traversal (Algorithm 3) walks the root→leaf path of an abstract facility,
-unions the ``Ω_inf`` sets along the path (IS rule, Lemmas 1–2 via the
+unions the ``Ω_inf`` rows along the path (IS rule, Lemmas 1–2 via the
 square hierarchy of Fig. 4) and subtracts them from the leaf's ``Ω_vrf``
-(NIR rule, Lemma 3).  Results are memoised per *leaf*, which is exactly
-the paper's batch-wise property: every abstract facility in the same leaf
-reuses the first traversal's answer.
+(NIR rule, Lemma 3).  Both sets are sorted arena-row arrays.  Results are
+memoised per *leaf*, which is exactly the paper's batch-wise property:
+every abstract facility in the same leaf reuses the first traversal's
+answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..entities import MovingUser
 from ..exceptions import IndexError_
 from ..geo import Rect, RoundedSquare, Square
 from ..influence import (
+    PositionArena,
     ProbabilityFunction,
     non_influence_radius,
     position_count_threshold_int,
@@ -50,30 +52,10 @@ from ..influence import (
 
 _CellKey = Tuple[int, int]
 
-_MAX_DEPTH = 16  # Morton interleave below supports 16-bit cell coordinates.
+_MAX_DEPTH = 16  # Cell keys stay well inside int64 at 2^16 × 2^16 leaves.
 
-
-def _part1by1(n: np.ndarray | int):
-    """Spread the low 16 bits of ``n`` so a zero sits between every bit."""
-    n = n & 0x0000FFFF
-    n = (n | (n << 8)) & 0x00FF00FF
-    n = (n | (n << 4)) & 0x0F0F0F0F
-    n = (n | (n << 2)) & 0x33333333
-    n = (n | (n << 1)) & 0x55555555
-    return n
-
-
-def morton_code(ix: np.ndarray | int, iy: np.ndarray | int):
-    """Interleave two 16-bit cell coordinates into a Z-order code."""
-    return (_part1by1(iy) << 1) | _part1by1(ix)
-
-
-def _run_starts(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
-    """Start indices of runs of equal ``(primary, secondary)`` pairs."""
-    if primary.size <= 1:
-        return np.zeros(min(primary.size, 1), dtype=np.int64)
-    change = (np.diff(primary) != 0) | (np.diff(secondary) != 0)
-    return np.concatenate(([0], np.flatnonzero(change) + 1))
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_ROWS.setflags(write=False)
 
 
 @dataclass
@@ -106,17 +88,26 @@ class IQuadTreeStats:
 
 @dataclass
 class TraversalResult:
-    """Outcome of pruning one abstract facility against all users."""
+    """Outcome of pruning one abstract facility against all users.
 
-    influenced: FrozenSet[int]
-    to_verify: FrozenSet[int]
+    Both fields are sorted, read-only int64 arrays of arena rows.
+    """
+
+    influenced: np.ndarray
+    to_verify: np.ndarray
+
+
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    rows.setflags(write=False)
+    return rows
 
 
 class IQuadTree:
     """The Influence Quad-tree over a moving-user population.
 
     Args:
-        users: The user population ``Ω`` to index.
+        arena: The user population ``Ω`` to index, packed as a
+            :class:`~repro.influence.PositionArena` (``dataset.arena``).
         d_hat: Target leaf diagonal ``d̂`` in km (the paper sweeps 1–2.5).
         tau: Influence threshold.
         pf: Distance-decay probability function.
@@ -131,7 +122,7 @@ class IQuadTree:
 
     def __init__(
         self,
-        users: Sequence[MovingUser],
+        arena: PositionArena,
         d_hat: float,
         tau: float,
         pf: ProbabilityFunction,
@@ -140,7 +131,7 @@ class IQuadTree:
     ):
         if d_hat <= 0:
             raise IndexError_(f"d_hat must be positive, got {d_hat}")
-        if not users:
+        if len(arena) == 0:
             raise IndexError_("IQuadTree needs at least one user")
         self.d_hat = d_hat
         self.tau = tau
@@ -175,81 +166,29 @@ class IQuadTree:
             for level in range(self.depth + 1)
         ]
 
-        self.r_max = max(u.r for u in users)
+        lengths = arena.lengths()
+        self.r_max = int(lengths.max())
         self.nir = non_influence_radius(tau, self.r_max, pf)
-        self.n_users = len(users)
+        self.n_users = len(arena)
+        self._uids = arena.uids
 
-        # Lazily memoised pruning sets (the paper's `visited` flags).
-        self._omega_inf: List[Dict[int, FrozenSet[int]]] = [
+        # One stable sort by row-major leaf-cell key.  Every node block is
+        # one slice per cell row; arena rows stay ascending inside a cell.
+        pos = arena.positions
+        cells = ((pos - (self._x0, self._y0)) / self._cell_side).astype(np.int64)
+        np.clip(cells, 0, self._grid - 1, out=cells)
+        keys = cells[:, 1] * self._grid + cells[:, 0]
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._pos = pos[order]
+        self._rows = np.repeat(np.arange(self.n_users, dtype=np.int64), lengths)[order]
+
+        # Lazily memoised Ω_inf rows per (level, node key) and the
+        # traversal result per leaf key (the paper's `visited` flags).
+        self._omega_inf: List[Dict[int, np.ndarray]] = [
             {} for _ in range(self.depth + 1)
         ]
-        self._omega_vrf: Dict[int, FrozenSet[int]] = {}
         self._leaf_result_cache: Dict[int, TraversalResult] = {}
-
-        self._build(users)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build(self, users: Sequence[MovingUser]) -> None:
-        all_pos = np.vstack([u.positions for u in users])
-        all_uid = np.repeat(
-            np.fromiter((u.uid for u in users), dtype=np.int64, count=len(users)),
-            np.fromiter((u.r for u in users), dtype=np.int64, count=len(users)),
-        )
-        ix = np.clip(
-            ((all_pos[:, 0] - self._x0) / self._cell_side).astype(np.int64),
-            0,
-            self._grid - 1,
-        )
-        iy = np.clip(
-            ((all_pos[:, 1] - self._y0) / self._cell_side).astype(np.int64),
-            0,
-            self._grid - 1,
-        )
-        codes = morton_code(ix, iy)
-        order = np.lexsort((all_uid, codes))
-        # Globally sorted position/uid/code arrays; every node at every
-        # level is a contiguous slice of these.
-        self._pos = all_pos[order]
-        self._uid = all_uid[order]
-        self._code = codes[order]
-
-        # Per level: aggregated (node code, uid) runs with position counts,
-        # sorted by (code, uid).  The leaf level falls out of the global
-        # lexsort; each coarser level aggregates the level below (after
-        # truncating codes by two bits, runs of the same user from sibling
-        # children must be re-merged, hence the per-level lexsort over the
-        # ever-shrinking run arrays).
-        self._run_codes: List[np.ndarray] = [np.empty(0)] * (self.depth + 1)
-        self._run_uids: List[np.ndarray] = [np.empty(0)] * (self.depth + 1)
-        self._run_counts: List[np.ndarray] = [np.empty(0)] * (self.depth + 1)
-
-        starts = _run_starts(self._code, self._uid)
-        self._run_codes[self.depth] = self._code[starts]
-        self._run_uids[self.depth] = self._uid[starts]
-        self._run_counts[self.depth] = np.diff(
-            np.concatenate((starts, [self._code.size]))
-        )
-        # Row-major secondary order: the NIR ring scan slices whole cell
-        # rows with two binary searches each instead of visiting cells.
-        row_keys = iy * self._grid + ix
-        row_order = np.argsort(row_keys, kind="stable")
-        self._row_keys = row_keys[row_order]
-        self._row_pos = all_pos[row_order]
-        self._row_uid = all_uid[row_order]
-        for level in range(self.depth - 1, -1, -1):
-            child_codes = self._run_codes[level + 1] >> 2
-            child_uids = self._run_uids[level + 1]
-            child_counts = self._run_counts[level + 1]
-            order = np.lexsort((child_uids, child_codes))
-            codes = child_codes[order]
-            uids = child_uids[order]
-            counts = child_counts[order]
-            starts = _run_starts(codes, uids)
-            self._run_codes[level] = codes[starts]
-            self._run_uids[level] = uids[starts]
-            self._run_counts[level] = np.add.reduceat(counts, starts)
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -270,14 +209,6 @@ class IQuadTree:
         y0 = self._y0 + iy * side
         return Rect(x0, y0, x0 + side, y0 + side)
 
-    def _rect_of_code(self, level: int, code: int) -> Rect:
-        """Node rect from a Morton code (inverse interleave, scalar path)."""
-        ix = iy = 0
-        for bit in range(level):
-            ix |= ((code >> (2 * bit)) & 1) << bit
-            iy |= ((code >> (2 * bit + 1)) & 1) << bit
-        return self.node_rect(level, ix, iy)
-
     def level_diagonal(self, level: int) -> float:
         """Diagonal of nodes at ``level`` (level 0 is the root)."""
         return self._side / (1 << level) * math.sqrt(2.0)
@@ -289,108 +220,82 @@ class IQuadTree:
     @property
     def leaf_count(self) -> int:
         """Number of non-empty leaf cells."""
-        codes = self._run_codes[self.depth]
-        if codes.size == 0:
-            return 0
-        return int(np.count_nonzero(np.diff(codes)) + 1)
+        return int(np.count_nonzero(np.diff(self._keys)) + 1)
 
     @property
     def node_count(self) -> int:
-        """Number of materialised (non-empty) nodes across all levels."""
-        total = 0
-        for level in range(self.depth + 1):
-            codes = self._run_codes[level]
-            if codes.size:
-                total += int(np.count_nonzero(np.diff(codes)) + 1)
-        return total
+        """Number of non-empty nodes across all levels."""
+        cells = np.unique(self._keys)
+        ix = cells % self._grid
+        iy = cells // self._grid
+        return sum(
+            np.unique((iy >> shift) * (self._grid >> shift) + (ix >> shift)).size
+            for shift in range(self.depth + 1)
+        )
 
     # ------------------------------------------------------------------
-    # Node slicing
+    # Block slicing
     # ------------------------------------------------------------------
-    def _node_slice(self, level: int, code: int) -> Tuple[int, int]:
-        """Return the [lo, hi) run-array slice of node ``code`` at ``level``."""
-        codes = self._run_codes[level]
-        lo = int(np.searchsorted(codes, code, side="left"))
-        hi = int(np.searchsorted(codes, code, side="right"))
-        return lo, hi
+    def _block(self, ix0: int, ix1: int, iy0: int, iy1: int) -> np.ndarray:
+        """Sorted-array indices of the positions in cells ``[ix0, ix1] × [iy0, iy1]``.
 
-    def _position_slice(self, code: int) -> Tuple[int, int]:
-        """Return the [lo, hi) slice of the sorted position array for a leaf."""
-        lo = int(np.searchsorted(self._code, code, side="left"))
-        hi = int(np.searchsorted(self._code, code, side="right"))
-        return lo, hi
+        In row-major key order each cell row's overlap with the block is
+        one contiguous slice, found by two binary searches.
+        """
+        base = np.arange(iy0, iy1 + 1, dtype=np.int64) * self._grid
+        lo = np.searchsorted(self._keys, base + ix0, side="left")
+        hi = np.searchsorted(self._keys, base + ix1 + 1, side="left")
+        lens = hi - lo
+        total = int(lens.sum())
+        # The CSR repeat/arange gather of the per-row slices.
+        return np.repeat(lo + lens - np.cumsum(lens), lens) + np.arange(total)
+
+    def _node_block(self, level: int, nx: int, ny: int) -> np.ndarray:
+        """Sorted-array indices of the positions under node ``(level, nx, ny)``."""
+        s = 1 << (self.depth - level)
+        return self._block(nx * s, nx * s + s - 1, ny * s, ny * s + s - 1)
 
     # ------------------------------------------------------------------
-    # Pruning-set computation (lazy, memoised — the `visited` flag)
+    # Pruning sets
     # ------------------------------------------------------------------
-    def _omega_inf_of(self, level: int, code: int) -> FrozenSet[int]:
-        cached = self._omega_inf[level].get(code)
+    def _omega_inf_of(self, level: int, nx: int, ny: int) -> np.ndarray:
+        """IS-confirmed rows of a node: users with ``≥ η_level`` positions in it."""
+        key = ny * (1 << level) + nx
+        cached = self._omega_inf[level].get(key)
         if cached is not None:
             return cached
         eta = self._eta[level]
-        if eta >= 2**62:
-            result: FrozenSet[int] = frozenset()
+        if eta > self.r_max:
+            result = _NO_ROWS
         else:
-            lo, hi = self._node_slice(level, code)
-            counts = self._run_counts[level][lo:hi]
-            uids = self._run_uids[level][lo:hi]
-            result = frozenset(uids[counts >= eta].tolist())
-        self._omega_inf[level][code] = result
+            counts = np.bincount(self._rows[self._node_block(level, nx, ny)])
+            result = _frozen(np.flatnonzero(counts >= eta))
+        self._omega_inf[level][key] = result
         self.stats.omega_inf_computations += 1
         return result
 
-    def _omega_vrf_of(self, leaf_code: int) -> FrozenSet[int]:
-        cached = self._omega_vrf.get(leaf_code)
-        if cached is not None:
-            return cached
-        self.stats.omega_vrf_computations += 1
-        rect = self._rect_of_code(self.depth, leaf_code)
-        if self.exact_rounded:
-            shape = RoundedSquare(Square.from_rect(rect), self.nir)
-            result = frozenset(self._scan(shape.mbr(), shape))
-        else:
-            result = frozenset(self._scan(rect.expanded(self.nir), None))
-        self._omega_vrf[leaf_code] = result
-        return result
+    def _omega_vrf_mask(self, ix: int, iy: int) -> np.ndarray:
+        """Row mask of the users with a position inside the leaf's NIR region.
 
-    def _scan(self, rect: Rect, shape: RoundedSquare | None) -> set[int]:
-        """Collect users with at least one position inside the query region.
-
-        The query rectangle spans a block of leaf-cell rows; in the
-        row-major secondary order each row's overlap is one contiguous
-        slice found by two binary searches.  All slices are concatenated
-        and masked in a single vectorised pass, then reduced to the unique
-        user ids.  ``shape`` tightens the rectangle to the exact (convex)
-        rounded square when given.
+        The query rectangle (the rounded square's MBR) spans a block of
+        cells; its positions are gathered and masked in one vectorised
+        pass.  With ``exact_rounded`` the mask tightens to the exact
+        (convex) rounded square.
         """
-        cell = self._cell_side
-        grid = self._grid
-        ix0 = max(0, int((rect.min_x - self._x0) / cell))
-        iy0 = max(0, int((rect.min_y - self._y0) / cell))
-        ix1 = min(grid - 1, int((rect.max_x - self._x0) / cell))
-        iy1 = min(grid - 1, int((rect.max_y - self._y0) / cell))
-        keys = self._row_keys
-        pos_chunks = []
-        uid_chunks = []
-        for iy in range(iy0, iy1 + 1):
-            base = iy * grid
-            lo = int(np.searchsorted(keys, base + ix0, side="left"))
-            hi = int(np.searchsorted(keys, base + ix1 + 1, side="left"))
-            if lo < hi:
-                pos_chunks.append(self._row_pos[lo:hi])
-                uid_chunks.append(self._row_uid[lo:hi])
-        if not pos_chunks:
-            return set()
-        positions = np.vstack(pos_chunks)
-        uids = np.concatenate(uid_chunks)
-        mask = (
-            rect.contains_mask(positions)
-            if shape is None
-            else shape.contains_mask(positions)
-        )
-        if not mask.any():
-            return set()
-        return set(np.unique(uids[mask]).tolist())
+        self.stats.omega_vrf_computations += 1
+        leaf = self.node_rect(self.depth, ix, iy)
+        if self.exact_rounded:
+            shape = RoundedSquare(Square.from_rect(leaf), self.nir)
+            rect = shape.mbr()
+        else:
+            shape = rect = leaf.expanded(self.nir)
+        ix0, iy0 = self.leaf_cell_of(rect.min_x, rect.min_y)
+        ix1, iy1 = self.leaf_cell_of(rect.max_x, rect.max_y)
+        idx = self._block(ix0, ix1, iy0, iy1)
+        inside = idx[shape.contains_mask(self._pos[idx])]
+        mask = np.zeros(self.n_users, dtype=bool)
+        mask[self._rows[inside]] = True
+        return mask
 
     # ------------------------------------------------------------------
     # Traversal (Algorithm 3)
@@ -398,34 +303,36 @@ class IQuadTree:
     def traverse(self, x: float, y: float) -> TraversalResult:
         """Prune all users against an abstract facility at ``(x, y)``.
 
-        Returns the users necessarily influenced (IS rule along the
-        root-to-leaf path) and the users needing verification (NIR
-        survivors minus the confirmed ones).  Everyone else is certified
-        uninfluenced.  Results are cached per leaf, so co-located abstract
-        facilities cost one dictionary lookup (the batch-wise property).
+        Returns the arena rows of the users necessarily influenced (IS
+        rule along the root-to-leaf path) and of the users needing
+        verification (NIR survivors minus the confirmed ones), each a
+        sorted read-only array.  Everyone else is certified uninfluenced.
+        Results are cached per leaf, so co-located abstract facilities
+        cost one dictionary lookup (the batch-wise property).
         """
         self.stats.traversals += 1
         ix, iy = self.leaf_cell_of(x, y)
-        leaf_code = int(morton_code(ix, iy))
-        cached = self._leaf_result_cache.get(leaf_code)
+        leaf_key = iy * self._grid + ix
+        cached = self._leaf_result_cache.get(leaf_key)
         if cached is not None:
             self.stats.leaf_cache_hits += 1
             self._account_pairs(cached)
             return cached
-        influenced: set[int] = set()
+        influenced = np.zeros(self.n_users, dtype=bool)
         for level in range(self.depth, -1, -1):
-            influenced |= self._omega_inf_of(
-                level, leaf_code >> (2 * (self.depth - level))
-            )
-        to_verify = self._omega_vrf_of(leaf_code) - influenced
-        result = TraversalResult(frozenset(influenced), frozenset(to_verify))
-        self._leaf_result_cache[leaf_code] = result
+            shift = self.depth - level
+            influenced[self._omega_inf_of(level, ix >> shift, iy >> shift)] = True
+        to_verify = self._omega_vrf_mask(ix, iy) & ~influenced
+        result = TraversalResult(
+            _frozen(np.flatnonzero(influenced)), _frozen(np.flatnonzero(to_verify))
+        )
+        self._leaf_result_cache[leaf_key] = result
         self._account_pairs(result)
         return result
 
     def _account_pairs(self, result: TraversalResult) -> None:
-        n_is = len(result.influenced)
-        n_vrf = len(result.to_verify)
+        n_is = result.influenced.size
+        n_vrf = result.to_verify.size
         self.stats.pairs_is_confirmed += n_is
         self.stats.pairs_to_verify += n_vrf
         self.stats.pairs_nir_pruned += self.n_users - n_is - n_vrf
@@ -435,14 +342,10 @@ class IQuadTree:
     # ------------------------------------------------------------------
     def positions_in_leaf(self, cell: _CellKey) -> Dict[int, np.ndarray]:
         """Return the per-user position arrays stored at a leaf cell."""
-        code = int(morton_code(cell[0], cell[1]))
-        lo, hi = self._position_slice(code)
-        out: Dict[int, np.ndarray] = {}
-        uids = self._uid[lo:hi]
-        positions = self._pos[lo:hi]
-        for uid in np.unique(uids).tolist():
-            out[uid] = positions[uids == uid]
-        return out
+        idx = self._node_block(self.depth, cell[0], cell[1])
+        uids = self._uids[self._rows[idx]]
+        positions = self._pos[idx]
+        return {uid: positions[uids == uid] for uid in np.unique(uids).tolist()}
 
     def describe(self) -> str:
         """One-line structural summary."""

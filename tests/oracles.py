@@ -8,7 +8,10 @@ The suites assert that the production path equals them: influence
 tables, ``EvaluationStats``, ``PruningStats``, selections, gains and
 objective.  Verification oracles use the scalar full-scan evaluator
 (``early_stopping=False``), the path the batched kernel mirrors decision
-for decision and counter for counter.
+for decision and counter for counter.  The pruning oracle
+(:func:`reference_is_nir`) splits users by the IS/NIR definitions over
+all positions, without the IQuad-tree, so the tree's traversal can be
+checked against something that does not share its code.
 
 Nothing outside ``tests/`` imports this module.  The scalar greedy
 (:func:`repro.solvers.greedy_select`) and the scalar evaluator
@@ -16,17 +19,22 @@ Nothing outside ``tests/`` imports this module.  The scalar greedy
 because the ablation benchmarks time them.
 """
 
+import math
 from contextlib import contextmanager
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from unittest import mock
+
+import numpy as np
 
 from repro.capture import best_response
 from repro.competition import EvenlySplitModel, InfluenceTable, cinf_group
 from repro.influence import (
     BatchInfluenceEvaluator,
     InfluenceEvaluator,
+    non_influence_radius,
     paper_default_pf,
+    position_count_threshold_int,
 )
 from repro.pruning import PinocchioPruner, PruningStats
 from repro.sketches import FMSketch
@@ -117,7 +125,7 @@ def reference_iqt_resolve(
     """
     evaluator = InfluenceEvaluator(pf, tau, early_stopping=False)
     tree = IQuadTree(
-        dataset.users,
+        dataset.arena,
         d_hat=d_hat,
         tau=tau,
         pf=pf,
@@ -125,11 +133,12 @@ def reference_iqt_resolve(
         exact_rounded=exact_rounded,
     )
     facilities = dataset.abstract_facilities
+    uids = dataset.arena.uids
     confirmed, to_verify = {}, {}
     for v in facilities:
         result = tree.traverse(v.x, v.y)
-        confirmed[v] = result.influenced
-        to_verify[v] = set(result.to_verify)
+        confirmed[v] = frozenset(uids[result.influenced].tolist())
+        to_verify[v] = set(uids[result.to_verify].tolist())
 
     if variant is not IQTVariant.IQT_C:
         use_ia = variant is IQTVariant.IQT_PINO
@@ -184,6 +193,74 @@ def reference_iqt_resolve(
     n_verify = sum(len(s) for s in to_verify.values())
     pruning = PruningStats(n_confirmed, n_pairs - n_confirmed - n_verify, n_verify)
     return ResolvedInstance(InfluenceTable(omega_c, f_o), evaluator.stats, pruning)
+
+
+def reference_is_nir(
+    arena,
+    facility,
+    d_hat: float,
+    tau: float,
+    pf,
+    region,
+    exact_rounded: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The IS/NIR split of every user against one facility, by brute force.
+
+    Works from the definitions over all positions, without the tree's
+    sorted arrays or memoised node sets.  The region is squared up at its
+    lower-left corner and cut into a ``2^depth`` grid whose leaf diagonal
+    is at most ``d_hat``; positions and the facility are mapped to
+    clipped cell indices.
+
+    * IS-confirmed: users with at least ``η_l`` positions in the level-l
+      node block on the facility's root→leaf path, for some level ``l``.
+    * To verify: users with a position inside the facility's leaf rect
+      grown by ``NIR`` (or inside the exact rounded square), minus the
+      confirmed users.
+
+    Returns the two sets as sorted arena-row arrays.
+    """
+    side = max(region.width, region.height)
+    if side <= 0:
+        side = d_hat
+    depth = max(0, math.ceil(math.log2(side * math.sqrt(2.0) / d_hat)))
+    grid = 1 << depth
+    cell = side / grid
+    n = len(arena)
+    lengths = arena.lengths()
+    owner = np.repeat(np.arange(n), lengths)
+    x, y = arena.positions[:, 0], arena.positions[:, 1]
+
+    def cells(coords, origin):
+        raw = np.trunc((np.asarray(coords, dtype=float) - origin) / cell)
+        return np.clip(raw, 0, grid - 1).astype(np.int64)
+
+    ix, iy = cells(x, region.min_x), cells(y, region.min_y)
+    fx, fy = int(cells(facility.x, region.min_x)), int(cells(facility.y, region.min_y))
+
+    confirmed = np.zeros(n, dtype=bool)
+    for level in range(depth + 1):
+        shift = depth - level
+        in_node = ((ix >> shift) == (fx >> shift)) & ((iy >> shift) == (fy >> shift))
+        counts = np.bincount(owner[in_node], minlength=n)
+        eta = position_count_threshold_int(
+            tau, pf, side / (1 << level) * math.sqrt(2.0)
+        )
+        confirmed |= counts >= eta
+
+    nir = non_influence_radius(tau, int(lengths.max()), pf)
+    lx0 = region.min_x + fx * cell
+    ly0 = region.min_y + fy * cell
+    lx1, ly1 = lx0 + cell, ly0 + cell
+    if exact_rounded:
+        dx = np.maximum(np.maximum(lx0 - x, x - lx1), 0.0)
+        dy = np.maximum(np.maximum(ly0 - y, y - ly1), 0.0)
+        inside = dx * dx + dy * dy <= nir * nir
+    else:
+        inside = (x >= lx0 - nir) & (x <= lx1 + nir) & (y >= ly0 - nir) & (y <= ly1 + nir)
+    reached = np.zeros(n, dtype=bool)
+    reached[owner[inside]] = True
+    return np.flatnonzero(confirmed), np.flatnonzero(reached & ~confirmed)
 
 
 class ScalarStreamingMC2LS(StreamingMC2LS):

@@ -1,10 +1,8 @@
-"""Property-based tests of the geometry algebra and Morton codes.
+"""Property-based tests of the geometry algebra and the point quad-tree.
 
 These invariants are what the spatial indexes silently rely on; a
 violation anywhere would corrupt pruning soundness downstream.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.geo import Point, Rect
 from repro.spatial import QuadTree
-from repro.spatial.iquadtree import morton_code
 
 coords = st.floats(min_value=-500, max_value=500, allow_nan=False, width=32)
 
@@ -86,48 +83,6 @@ class TestRectAlgebra:
         assert r.diagonal == pytest.approx(
             r.corners()[0].distance_to(r.corners()[2])
         )
-
-
-class TestMortonCodes:
-    @given(
-        ix=st.integers(0, 2**16 - 1),
-        iy=st.integers(0, 2**16 - 1),
-    )
-    @settings(max_examples=200)
-    def test_roundtrip_via_bit_extraction(self, ix, iy):
-        code = int(morton_code(ix, iy))
-        rx = ry = 0
-        for bit in range(16):
-            rx |= ((code >> (2 * bit)) & 1) << bit
-            ry |= ((code >> (2 * bit + 1)) & 1) << bit
-        assert (rx, ry) == (ix, iy)
-
-    @given(
-        ix=st.integers(0, 2**15 - 1),
-        iy=st.integers(0, 2**15 - 1),
-        level_drop=st.integers(1, 8),
-    )
-    @settings(max_examples=200)
-    def test_truncation_gives_parent(self, ix, iy, level_drop):
-        """Shifting a Morton code by 2*L bits yields the L-level ancestor."""
-        code = int(morton_code(ix, iy))
-        parent = int(morton_code(ix >> level_drop, iy >> level_drop))
-        assert code >> (2 * level_drop) == parent
-
-    def test_vectorised_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        ix = rng.integers(0, 2**16, size=200)
-        iy = rng.integers(0, 2**16, size=200)
-        vec = morton_code(ix, iy)
-        for i in range(200):
-            assert int(vec[i]) == int(morton_code(int(ix[i]), int(iy[i])))
-
-    def test_distinct_cells_distinct_codes(self):
-        codes = set()
-        for ix in range(32):
-            for iy in range(32):
-                codes.add(int(morton_code(ix, iy)))
-        assert len(codes) == 32 * 32
 
 
 class TestQuadTreeNearest:
